@@ -107,8 +107,11 @@ std::pair<std::uint64_t, std::uint64_t> fleet_shard_range(std::uint64_t devices,
   return {first, first + count};
 }
 
-std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
-                                std::size_t shard_count, const std::string& out_path) {
+namespace {
+
+/// Shard `shard_index`'s enrollment records, id order of the device range.
+std::vector<std::pair<DeviceId, EnrollmentRecord>> fleet_shard_records(
+    const FleetConfig& fleet, std::size_t shard_index, std::size_t shard_count) {
   ARO_REQUIRE(fleet.devices > 0, "fleet must have devices");
   const auto [first, last] = fleet_shard_range(fleet.devices, shard_index, shard_count);
   const auto count = static_cast<std::size_t>(last - first);
@@ -124,8 +127,24 @@ std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_inde
     record.tag = record_binding_tag(key, id, fleet.response_bits, 0, packed.data(), nullptr);
     records[j] = {id, std::move(record)};
   });
+  return records;
+}
+
+}  // namespace
+
+std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
+                                std::size_t shard_count, const std::string& out_path) {
+  std::vector<std::pair<DeviceId, EnrollmentRecord>> records =
+      fleet_shard_records(fleet, shard_index, shard_count);
+  const std::uint64_t count = records.size();
   write_enrollment_store(out_path, fleet_store_params(fleet), std::move(records));
   return count;
+}
+
+std::string encode_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
+                               std::size_t shard_count) {
+  return encode_enrollment_store(fleet_store_params(fleet),
+                                 fleet_shard_records(fleet, shard_index, shard_count));
 }
 
 WorkloadStats run_verify_workload(const Authenticator& auth, const FleetConfig& fleet,

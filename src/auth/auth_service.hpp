@@ -83,6 +83,11 @@ struct FleetConfig {
 std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
                                 std::size_t shard_count, const std::string& out_path);
 
+/// The same shard as an in-memory ARPS image (the bytes build_fleet_shard
+/// writes) — what an enroll job returns as its RESULT.
+[[nodiscard]] std::string encode_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
+                                             std::size_t shard_count);
+
 /// Shape of the verification request stream.
 struct WorkloadConfig {
   /// Total verification requests.

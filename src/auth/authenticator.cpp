@@ -223,17 +223,4 @@ DeviceId Authenticator::device_id_from_name(const std::string& device_name) {
   return hash;
 }
 
-void Authenticator::enroll(const std::string& device_name, BitVector response) {
-  enroll(device_id_from_name(device_name), std::move(response));
-}
-
-bool Authenticator::knows(const std::string& device_name) const {
-  return knows(device_id_from_name(device_name));
-}
-
-std::optional<AuthResult> Authenticator::verify(const std::string& device_name,
-                                                const BitVector& response) const {
-  return verify(device_id_from_name(device_name), response);
-}
-
 }  // namespace aropuf

@@ -237,6 +237,12 @@ RecordView BinaryEnrollmentStore::record_at(std::size_t i) const {
   return view;
 }
 
+std::uint64_t enrollment_store_bytes(const AuthStoreParams& params, std::uint64_t devices) {
+  const std::uint64_t stride =
+      (params.response_bits + 7) / 8 + (params.helper_bits + 7) / 8 + kRecordTagBytes;
+  return kHeaderBytes + devices * (8 + stride);
+}
+
 std::string encode_enrollment_store(const AuthStoreParams& params,
                                     std::vector<std::pair<DeviceId, EnrollmentRecord>> records) {
   ARO_REQUIRE(params.response_bits <= kMaxBits && params.helper_bits <= kMaxBits,
@@ -251,12 +257,8 @@ std::string encode_enrollment_store(const AuthStoreParams& params,
            "device " + std::to_string(records[i].first) + " enrolled twice");
     }
   }
-  const std::size_t response_bytes = (params.response_bits + 7) / 8;
-  const std::size_t helper_bytes = (params.helper_bits + 7) / 8;
-  const std::size_t stride = response_bytes + helper_bytes + kRecordTagBytes;
-
   std::string out = encode_header(params, records.size());
-  out.reserve(kHeaderBytes + records.size() * (8 + stride));
+  out.reserve(static_cast<std::size_t>(enrollment_store_bytes(params, records.size())));
   for (const auto& [id, record] : records) append_u64le(out, id);
   for (const auto& [id, record] : records) {
     ARO_REQUIRE(record.response.size() == params.response_bits, "response length mismatch");

@@ -139,6 +139,11 @@ class BinaryEnrollmentStore final : public EnrollmentStore {
   const std::uint8_t* records_ = nullptr;  // first record
 };
 
+/// Size in bytes of the ARPS image encode_enrollment_store produces for
+/// `devices` records of this layout.
+[[nodiscard]] std::uint64_t enrollment_store_bytes(const AuthStoreParams& params,
+                                                   std::uint64_t devices);
+
 /// Encodes records into an ARPS image.  Records are sorted by DeviceId; every
 /// record's bit lengths must match `params`.  Throws std::invalid_argument on
 /// layout violations and AuthStoreError(kDuplicateDevice) on repeated ids.

@@ -1,11 +1,29 @@
+// Apple's <math.h> declares lgamma_r only under _REENTRANT; it must be set
+// before the first include.
+#if defined(__APPLE__) && !defined(_REENTRANT)
+#define _REENTRANT
+#endif
+
 #include "common/special_functions.hpp"
 
 #include <cmath>
 #include <limits>
+#if !defined(_MSC_VER)
+#include <math.h>  // lgamma_r
+#endif
 
 #include "common/check.hpp"
 
 namespace aropuf {
+
+double log_gamma(double x) {
+#if defined(_MSC_VER)
+  return std::lgamma(x);
+#else
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+#endif
+}
 
 namespace {
 
@@ -23,7 +41,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Lentz continued fraction for Q(a, x), valid for x >= a + 1.
@@ -45,7 +63,7 @@ double gamma_q_continued_fraction(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Special functions needed by the NIST-lite randomness battery.
+// Special functions needed by the NIST-lite randomness battery and the
+// binomial statistics.
 //
 // The NIST SP 800-22 statistics report p-values through the complementary
 // error function and the regularized upper incomplete gamma function; the
@@ -7,6 +8,13 @@
 #pragma once
 
 namespace aropuf {
+
+/// ln|Γ(x)|, safe to call from many threads at once.  std::lgamma writes the
+/// global `signgam` on POSIX libcs — a data race when the parallel ECC code
+/// search evaluates binomial coefficients — so this wraps lgamma_r there
+/// (std::lgamma under MSVC, which keeps no such global).  Bit-identical to
+/// std::lgamma: both are the same libm routine.
+[[nodiscard]] double log_gamma(double x);
 
 /// Regularized lower incomplete gamma P(a, x) = γ(a, x) / Γ(a), a > 0, x >= 0.
 [[nodiscard]] double regularized_gamma_p(double a, double x);

@@ -65,8 +65,9 @@ struct Coordinator::Impl {
   CoordinatorCallbacks callbacks;
   Listener listener;
 
-  // Job bookkeeping mirrors aropuf_shard's ShardState: attempts count
-  // dispatches, the retry budget is `retries` extra attempts.
+  // Job bookkeeping, indexed by shard: attempts count dispatches, the retry
+  // budget is `retries` extra attempts.  Shards outside config.jobs (already
+  // done by a resumed run) stay kDone and are never dispatched.
   enum class JobPhase { kPending, kRunning, kDone, kFailed };
   struct Job {
     JobPhase phase = JobPhase::kPending;
@@ -247,7 +248,7 @@ struct Coordinator::Impl {
           if (callbacks.on_result) callbacks.on_result(shard, std::move(frame.payload), conn.name);
         } catch (const std::exception& e) {
           // A result that will not fold consumes this attempt, exactly like a
-          // crashed aropuf_shard worker whose manifest would not parse.
+          // worker that died before answering.
           ARO_LOG_WARN("fleet", "shard result rejected", {"shard", JsonValue(shard)},
                        {"error", JsonValue(std::string(e.what()))});
           requeue_job(shard, std::string("result rejected: ") + e.what());
@@ -280,16 +281,78 @@ struct Coordinator::Impl {
     }
     return false;
   }
+
+#if !defined(_WIN32)
+  /// One poll() over every connection (plus the listener when `accept`):
+  /// accepts a pending connection, reads whatever each ready socket holds,
+  /// handles its complete frames, and drops connections that closed,
+  /// misbehaved, or buffered more than one maximal frame.  Returns poll's rc.
+  int poll_round(bool accept, int timeout_ms) {
+    std::vector<struct pollfd> fds;
+    if (accept) fds.push_back({listener.fd(), POLLIN, 0});
+    const std::size_t first = fds.size();
+    std::vector<std::list<Connection>::iterator> order;
+    for (auto it = connections.begin(); it != connections.end(); ++it) {
+      fds.push_back({it->socket.fd(), POLLIN, 0});
+      order.push_back(it);
+    }
+    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (rc < 0 && errno != EINTR) throw std::runtime_error("fleet: poll failed");
+    if (rc <= 0) return rc;
+
+    if (accept && (fds[0].revents & POLLIN) != 0) {
+      try {
+        Connection conn;
+        conn.socket = listener.accept_connection();
+        connections.push_back(std::move(conn));
+      } catch (const std::exception& e) {
+        ARO_LOG_WARN("fleet", "accept failed", {"error", JsonValue(std::string(e.what()))});
+      }
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if ((fds[first + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      auto it = order[i];
+      bool alive = true;
+      std::string why = "peer closed";
+      char buf[64 * 1024];
+      try {
+        const std::size_t n = it->socket.recv_some(buf, sizeof buf);
+        if (n == 0) {
+          alive = false;
+        } else {
+          it->decoder.feed(buf, n);
+          alive = it->decoder.buffered() <= kMaxResultPayload + kFrameHeaderSize &&
+                  drain_frames(*it);
+          if (!alive) why = "protocol close";
+        }
+      } catch (const std::exception& e) {
+        alive = false;
+        why = e.what();
+      }
+      if (!alive) drop_connection(it, why);
+    }
+    return rc;
+  }
+#endif
 };
 
 Coordinator::Coordinator(CoordinatorConfig config, CoordinatorCallbacks callbacks)
     : impl_(std::make_unique<Impl>()) {
-  if (config.jobs < 1) throw std::runtime_error("fleet: need at least one job");
+  if (config.jobs.empty()) throw std::runtime_error("fleet: need at least one job");
+  const int shards = config.job_template.shards;
+  using Phase = Impl::JobPhase;
+  impl_->jobs.assign(static_cast<std::size_t>(std::max(shards, 0)), {Phase::kDone, 0});
+  for (const int k : config.jobs) {
+    if (k < 0 || k >= shards || impl_->jobs[static_cast<std::size_t>(k)].phase != Phase::kDone) {
+      throw std::runtime_error("fleet: job index " + std::to_string(k) +
+                               " out of range or repeated");
+    }
+    impl_->jobs[static_cast<std::size_t>(k)].phase = Phase::kPending;
+    impl_->pending.push_back(k);
+  }
   impl_->config = std::move(config);
   impl_->callbacks = std::move(callbacks);
-  impl_->listener = Listener::listen_on(impl_->config.port);
-  impl_->jobs.assign(static_cast<std::size_t>(impl_->config.jobs), {});
-  for (int k = 0; k < impl_->config.jobs; ++k) impl_->pending.push_back(k);
+  impl_->listener = Listener::listen_on(impl_->config.bind_address, impl_->config.port);
 }
 
 Coordinator::~Coordinator() = default;
@@ -301,8 +364,9 @@ FleetSummary Coordinator::run() {
   throw std::runtime_error("net: fleet coordinator requires POSIX sockets");
 #else
   Impl& impl = *impl_;
-  const telemetry::TraceScope span("fleet.coordinate", "fleet",
-                                   {{"jobs", JsonValue(impl.config.jobs)}});
+  const telemetry::TraceScope span(
+      "fleet.coordinate", "fleet",
+      {{"jobs", JsonValue(static_cast<int>(impl.config.jobs.size()))}});
   const Clock::time_point t0 = Clock::now();
 
   while (impl.unfinished() > 0) {
@@ -310,6 +374,7 @@ FleetSummary Coordinator::run() {
       impl.summary.timed_out = true;
       break;
     }
+    if (impl.callbacks.on_tick && !impl.callbacks.on_tick(impl.unfinished())) break;
 
     // Assign queued jobs to idle workers.
     for (auto it = impl.connections.begin(); it != impl.connections.end() && !impl.pending.empty();) {
@@ -331,51 +396,7 @@ FleetSummary Coordinator::run() {
     }
 
     // poll(): listener + every connection, 100 ms tick for timeout scans.
-    std::vector<struct pollfd> fds;
-    fds.push_back({impl.listener.fd(), POLLIN, 0});
-    std::vector<std::list<Connection>::iterator> order;
-    for (auto it = impl.connections.begin(); it != impl.connections.end(); ++it) {
-      fds.push_back({it->socket.fd(), POLLIN, 0});
-      order.push_back(it);
-    }
-    const int rc = ::poll(fds.data(), fds.size(), 100);
-    if (rc < 0 && errno != EINTR) throw std::runtime_error("fleet: poll failed");
-
-    if (rc > 0 && (fds[0].revents & POLLIN) != 0) {
-      try {
-        Connection conn;
-        conn.socket = impl.listener.accept_connection();
-        impl.connections.push_back(std::move(conn));
-      } catch (const std::exception& e) {
-        ARO_LOG_WARN("fleet", "accept failed", {"error", JsonValue(std::string(e.what()))});
-      }
-    }
-
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      auto it = order[i];
-      const short revents = fds[i + 1].revents;
-      if (revents == 0) continue;
-      bool alive = true;
-      std::string why = "peer closed";
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        char buf[64 * 1024];
-        try {
-          const std::size_t n = it->socket.recv_some(buf, sizeof buf);
-          if (n == 0) {
-            alive = false;
-          } else {
-            it->decoder.feed(buf, n);
-            alive = it->decoder.buffered() <= kMaxResultPayload + kFrameHeaderSize &&
-                    impl.drain_frames(*it);
-            if (!alive) why = "protocol close";
-          }
-        } catch (const std::exception& e) {
-          alive = false;
-          why = e.what();
-        }
-      }
-      if (!alive) impl.drop_connection(it, why);
-    }
+    impl.poll_round(/*accept=*/true, 100);
 
     // Heartbeat timeout: a busy worker that has sent nothing for too long is
     // presumed dead; its job is reassigned and the connection cut.
@@ -400,35 +421,7 @@ FleetSummary Coordinator::run() {
   // short poll rounds pick them up — without this the merged fleet timeline
   // would always be missing the last span of every worker.
   for (int round = 0; round < 4 && !impl.connections.empty(); ++round) {
-    std::vector<struct pollfd> fds;
-    std::vector<std::list<Connection>::iterator> order;
-    for (auto it = impl.connections.begin(); it != impl.connections.end(); ++it) {
-      fds.push_back({it->socket.fd(), POLLIN, 0});
-      order.push_back(it);
-    }
-    const int rc = ::poll(fds.data(), fds.size(), 50);
-    if (rc <= 0) break;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      auto it = order[i];
-      bool alive = true;
-      std::string why = "peer closed";
-      char buf[64 * 1024];
-      try {
-        const std::size_t n = it->socket.recv_some(buf, sizeof buf);
-        if (n == 0) {
-          alive = false;
-        } else {
-          it->decoder.feed(buf, n);
-          alive = impl.drain_frames(*it);
-          if (!alive) why = "protocol close";
-        }
-      } catch (const std::exception& e) {
-        alive = false;
-        why = e.what();
-      }
-      if (!alive) impl.drop_connection(it, why);
-    }
+    if (impl.poll_round(/*accept=*/false, 50) <= 0) break;
   }
 
   // Orderly shutdown: every surviving worker gets a BYE.
@@ -441,7 +434,7 @@ FleetSummary Coordinator::run() {
   impl.connections.clear();
 
   impl.summary.ok = !impl.summary.timed_out && impl.summary.jobs_failed == 0 &&
-                    impl.summary.jobs_done == impl.config.jobs;
+                    impl.summary.jobs_done == static_cast<int>(impl.config.jobs.size());
   return impl.summary;
 #endif
 }

@@ -1,31 +1,34 @@
-// Fleet coordinator: dispatches seed-range shard jobs to TCP workers and
-// collects their shard-manifest containers.
+// Fleet coordinator: the repo's one job runner.  Dispatches seed-range shard
+// jobs to TCP workers and collects their results.
 //
 // One single-threaded poll() loop owns the listener plus every worker
 // connection; all protocol state lives in this module, all policy about what
 // the bytes *mean* stays with the caller:
 //
-//  * jobs are shard indices drawn from the same planner aropuf_shard uses
-//    (a JobMsg template with the shard index filled per dispatch);
-//  * a returned RESULT is handed to callbacks.on_result as raw container
-//    bytes — tools/aropuf_fleet.cpp streams them into AggregateBuilder via
-//    the format-agnostic decode path, so fold semantics are identical to the
-//    single-host orchestrator;
+//  * jobs are shard indices (a JobMsg template with the shard index filled
+//    per dispatch); a resumed run hands over only the indices still missing;
+//  * a returned RESULT is handed to callbacks.on_result as raw bytes —
+//    tools/aropuf_fleet.cpp streams shard manifests into AggregateBuilder,
+//    tools/aropuf_auth.cpp writes enrollment-store shards to disk;
 //  * a worker that disconnects, times out (no frame within
 //    heartbeat_timeout_s), or reports an ERROR while owning a job sends that
-//    job back through the retry budget (attempts ≤ retries+1, the same
-//    machinery aropuf_shard applies to crashed child processes).  A throwing
+//    job back through the retry budget (attempts ≤ retries+1).  A throwing
 //    on_result counts as a failed attempt too: a manifest that will not fold
 //    is as fatal as a worker that never answered.
+//
+// Workers are whoever connects: remote hosts (aropuf_fleet --listen) or the
+// child processes net/local_workers.hpp launches for a local run.
 //
 // The worker and coordinator state machines, frame ordering rules, and error
 // codes are specified normatively in DESIGN.md §11.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/frame.hpp"
 #include "telemetry/progress.hpp"
@@ -34,8 +37,11 @@ namespace aropuf::net {
 
 /// Run parameters for one coordinator instance.
 struct CoordinatorConfig {
+  /// Listen address: loopback by default, so only local workers can reach
+  /// an unauthenticated ARPF port; "0.0.0.0" serves remote workers.
+  std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;           ///< listen port; 0 = kernel-assigned
-  int jobs = 1;                     ///< total shard jobs (indices 0..jobs-1)
+  std::vector<int> jobs;            ///< shard indices to run, each < job_template.shards
   int retries = 1;                  ///< extra attempts per failed job
   double heartbeat_timeout_s = 60;  ///< drop a silent busy worker (0 = never)
   double total_timeout_s = 0;       ///< abort the whole run (0 = never)
@@ -46,10 +52,11 @@ struct CoordinatorConfig {
 
 /// Event hooks.  All callbacks fire on the coordinator's own thread.
 struct CoordinatorCallbacks {
-  /// A completed shard's manifest container bytes (ARPB or JSON text).
-  /// Throwing fails this attempt and routes the job through the retry budget.
+  /// A completed job's RESULT bytes (a shard-manifest container for study
+  /// jobs, an ARPS store image for enroll jobs).  Throwing fails this
+  /// attempt and routes the job through the retry budget.
   std::function<void(int shard, std::string bytes, const std::string& worker)> on_result;
-  /// A worker's progress heartbeat (same schema as the on-disk JSONL beats).
+  /// A worker's progress heartbeat.
   std::function<void(const telemetry::Heartbeat& beat, const std::string& worker)> on_heartbeat;
   /// A worker's METRICS snapshot (registry state + drained trace spans).
   /// `clock_offset_ms` is the coordinator's current skew estimate for this
@@ -60,6 +67,10 @@ struct CoordinatorCallbacks {
   /// Lifecycle narration for logs/HUD: event ∈ {"connect", "dispatch",
   /// "retry", "disconnect", "timeout", "fail", "bye"}.
   std::function<void(const std::string& event, int shard, const std::string& detail)> on_event;
+  /// Called once per poll-loop pass (at most ~100 ms apart) with the number
+  /// of unfinished jobs.  Returning false ends the run early (summary.ok is
+  /// false); the local launcher uses it to reap and replace its workers.
+  std::function<bool(std::size_t jobs_left)> on_tick;
 };
 
 /// Terminal accounting for one coordinator run.
@@ -78,7 +89,9 @@ struct FleetSummary {
 class Coordinator {
  public:
   /// Binds the listener immediately; throws std::runtime_error when the
-  /// requested port cannot be bound or this build has no TCP transport.
+  /// requested address/port cannot be bound, the job list is empty or names
+  /// an index outside the template's shard count, or this build has no TCP
+  /// transport.
   Coordinator(CoordinatorConfig config, CoordinatorCallbacks callbacks);
   /// Closes the listener and every worker connection still open.
   ~Coordinator();

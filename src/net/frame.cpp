@@ -183,16 +183,23 @@ HelloMsg hello_from_json(const JsonValue& doc) {
 
 JsonValue job_to_json(const JobMsg& msg) {
   JsonValue::Object obj;
+  obj["kind"] = JsonValue(msg.kind);
   obj["shard"] = JsonValue(msg.shard);
   obj["shards"] = JsonValue(msg.shards);
-  obj["chips"] = JsonValue(msg.chips);
   obj["seed"] = JsonValue(msg.seed);
-  JsonValue::Array checkpoints;
-  checkpoints.reserve(msg.checkpoints.size());
-  for (const double y : msg.checkpoints) checkpoints.emplace_back(y);
-  obj["checkpoints"] = JsonValue(std::move(checkpoints));
-  obj["run"] = JsonValue(msg.run);
-  obj["format"] = JsonValue(msg.format);
+  if (msg.kind == "enroll") {
+    obj["devices"] = JsonValue(msg.devices);
+    obj["bits"] = JsonValue(msg.bits);
+    obj["model"] = JsonValue(msg.model);
+  } else {
+    obj["chips"] = JsonValue(msg.chips);
+    JsonValue::Array checkpoints;
+    checkpoints.reserve(msg.checkpoints.size());
+    for (const double y : msg.checkpoints) checkpoints.emplace_back(y);
+    obj["checkpoints"] = JsonValue(std::move(checkpoints));
+    obj["run"] = JsonValue(msg.run);
+    obj["format"] = JsonValue(msg.format);
+  }
   obj["attempt"] = JsonValue(msg.attempt);
   if (!msg.trace_id.empty()) obj["trace_id"] = JsonValue(msg.trace_id);
   if (!msg.parent_span.empty()) obj["parent_span"] = JsonValue(msg.parent_span);
@@ -201,10 +208,28 @@ JsonValue job_to_json(const JobMsg& msg) {
 
 JobMsg job_from_json(const JsonValue& doc) {
   JobMsg msg;
+  // A JOB without "kind" predates enrollment jobs and is a study job.
+  msg.kind = doc.string_or("kind", "study");
   msg.shard = static_cast<int>(require_number(doc, "shard"));
   msg.shards = static_cast<int>(require_number(doc, "shards"));
-  msg.chips = static_cast<int>(require_number(doc, "chips"));
   msg.seed = static_cast<std::uint64_t>(require_number(doc, "seed"));
+  msg.attempt = static_cast<int>(doc.number_or("attempt", 1.0));
+  msg.trace_id = doc.string_or("trace_id", "");
+  msg.parent_span = doc.string_or("parent_span", "");
+  if (msg.shards < 1 || msg.shard < 0 || msg.shard >= msg.shards) {
+    bad_payload("JOB fields out of range");
+  }
+  if (msg.kind == "enroll") {
+    msg.devices = static_cast<std::uint64_t>(require_number(doc, "devices"));
+    msg.bits = static_cast<int>(require_number(doc, "bits"));
+    msg.model = require_string(doc, "model");
+    if (msg.devices < 1 || msg.bits < 1 || (msg.model != "synthetic" && msg.model != "sim")) {
+      bad_payload("JOB fields out of range");
+    }
+    return msg;
+  }
+  if (msg.kind != "study") bad_payload("unknown JOB kind '" + msg.kind + "'");
+  msg.chips = static_cast<int>(require_number(doc, "chips"));
   if (!doc.contains("checkpoints") || !doc.at("checkpoints").is_array()) {
     bad_payload("missing or non-array field 'checkpoints'");
   }
@@ -214,11 +239,8 @@ JobMsg job_from_json(const JsonValue& doc) {
   }
   msg.run = require_string(doc, "run");
   msg.format = require_string(doc, "format");
-  msg.attempt = static_cast<int>(doc.number_or("attempt", 1.0));
-  msg.trace_id = doc.string_or("trace_id", "");
-  msg.parent_span = doc.string_or("parent_span", "");
-  if (msg.shards < 1 || msg.shard < 0 || msg.shard >= msg.shards || msg.chips < 2 ||
-      msg.checkpoints.empty() || (msg.format != "json" && msg.format != "binary")) {
+  if (msg.chips < 2 || msg.checkpoints.empty() ||
+      (msg.format != "json" && msg.format != "binary")) {
     bad_payload("JOB fields out of range");
   }
   return msg;

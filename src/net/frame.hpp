@@ -2,9 +2,9 @@
 // pair (tools/aropuf_fleet.cpp).
 //
 // A fleet run moves two kinds of payload over TCP: small JSON control
-// documents (job assignment, heartbeats, errors) and whole shard-manifest
-// containers coming back from workers (the same bytes aropuf_shard workers
-// write to disk — ARPB binary or JSON text, sniffed downstream).  Both ride
+// documents (job assignment, heartbeats, errors) and whole job results coming
+// back from workers (shard-manifest containers — ARPB binary or JSON text,
+// sniffed downstream — or ARPS enrollment-store shards).  Both ride
 // in length-prefixed frames so a stream reader never guesses at message
 // boundaries.
 //
@@ -154,17 +154,24 @@ struct HelloMsg {
   std::int64_t ts_unix_ms = 0;
 };
 
-/// JOB: one shard assignment.  Carries the full study parameterization so a
-/// worker needs no out-of-band configuration (the same property aropuf_shard
-/// worker argv has: the job is reproducible from the message alone).
+/// JOB: one shard assignment.  Carries the full job parameterization so a
+/// worker needs no out-of-band configuration: the job is reproducible from
+/// the message alone.  `kind` selects the work and which fields are
+/// required (DESIGN.md §11.3): "study" (the E2+E3 population study; chips,
+/// checkpoints, run, format) or "enroll" (one enrollment-store shard;
+/// devices, bits, model).  Both use shard, shards and seed.
 struct JobMsg {
+  std::string kind = "study";       ///< "study" or "enroll"
   int shard = 0;                    ///< shard index to run
   int shards = 1;                   ///< total shard count
-  int chips = 0;                    ///< total chip population
   std::uint64_t seed = 0;           ///< master RNG seed
-  std::vector<double> checkpoints;  ///< aging years, non-decreasing
-  std::string run;                  ///< run name echoed into the manifest
-  std::string format;               ///< "binary" or "json" result transport
+  int chips = 0;                    ///< study: total chip population
+  std::vector<double> checkpoints;  ///< study: aging years, non-decreasing
+  std::string run;                  ///< study: run name echoed into the manifest
+  std::string format;               ///< study: "binary" or "json" result transport
+  std::uint64_t devices = 0;        ///< enroll: total fleet size
+  int bits = 0;                     ///< enroll: response bits per device
+  std::string model;                ///< enroll: "synthetic" or "sim"
   int attempt = 1;                  ///< 1-based dispatch attempt (telemetry)
   /// Trace context (optional; empty = untraced).  The coordinator stamps its
   /// run-wide trace id and a parent-span label ("dispatch/<shard>#<attempt>")
@@ -207,7 +214,7 @@ struct MetricsMsg {
 /// Encodes a JOB payload as a JSON object.
 [[nodiscard]] JsonValue job_to_json(const JobMsg& msg);
 /// Decodes a JOB payload; throws FrameError (kBadPayload) on schema violation
-/// (out-of-range shard index, non-positive chips, empty checkpoints, ...).
+/// (unknown kind, out-of-range shard index, a missing field of the kind, ...).
 [[nodiscard]] JobMsg job_from_json(const JsonValue& doc);
 
 /// Encodes an ERROR payload as a JSON object.

@@ -1,5 +1,6 @@
 #include "net/socket.hpp"
 
+#include <cstdlib>
 #include <stdexcept>
 
 #if !defined(_WIN32)
@@ -17,6 +18,17 @@
 #endif
 
 namespace aropuf::net {
+
+bool parse_hostport(const std::string& spec, std::string* host, std::uint16_t* port) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) return false;
+  char* end = nullptr;
+  const long p = std::strtol(spec.c_str() + colon + 1, &end, 10);
+  if (end == nullptr || *end != '\0' || p < 1 || p > 65535) return false;
+  *host = spec.substr(0, colon);
+  *port = static_cast<std::uint16_t>(p);
+  return true;
+}
 
 #if defined(AROPUF_NET_POSIX)
 
@@ -157,20 +169,22 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
-Listener Listener::listen_on(std::uint16_t port) {
+Listener Listener::listen_on(const std::string& address, std::uint16_t port) {
+  struct sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
+    throw std::runtime_error("net: bad bind address '" + address + "' (want IPv4 dotted quad)");
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) fail("socket");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  struct sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) < 0) {
     const int saved = errno;
     ::close(fd);
     errno = saved;
-    fail("bind to port " + std::to_string(port));
+    fail("bind to " + address + ":" + std::to_string(port));
   }
   if (::listen(fd, 64) < 0) {
     const int saved = errno;
@@ -218,7 +232,7 @@ namespace {
 [[noreturn]] void unavailable() {
   throw std::runtime_error(
       "net: TCP transport requires POSIX sockets (unavailable on this platform); "
-      "use tools/aropuf_shard for single-host sharded runs");
+      "use aropuf_fleet --no-fork for single-host sharded runs");
 }
 }  // namespace
 
@@ -248,7 +262,7 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   other.fd_ = -1;
   return *this;
 }
-Listener Listener::listen_on(std::uint16_t) { unavailable(); }
+Listener Listener::listen_on(const std::string&, std::uint16_t) { unavailable(); }
 Socket Listener::accept_connection() { unavailable(); }
 void Listener::close() noexcept { fd_ = -1; }
 

@@ -10,7 +10,7 @@
 // Platform: POSIX only.  On _WIN32 the header still compiles (so targets that
 // merely link aropuf_net build everywhere) but aropuf_net_available() is
 // false and every entry point throws; tools print a clear message instead of
-// half-working.  The sharded single-host path (tools/aropuf_shard.cpp) is the
+// half-working.  aropuf_fleet --no-fork (shards run in-process) is the
 // supported Windows story.
 #pragma once
 
@@ -69,12 +69,20 @@ class Socket {
 [[nodiscard]] Socket tcp_connect(const std::string& host, std::uint16_t port,
                                  double timeout_s);
 
-/// Listening TCP endpoint bound to the loopback-reachable wildcard address.
+/// Splits "HOST:PORT" (a worker's connect target) at the last ':', so IPv6
+/// literals work unbracketed.  Returns false on a missing host or a port
+/// outside 1..65535.
+[[nodiscard]] bool parse_hostport(const std::string& spec, std::string* host,
+                                  std::uint16_t* port);
+
+/// Listening TCP endpoint bound to one IPv4 address.
 class Listener {
  public:
-  /// Binds and listens on `port` (0 = kernel-assigned ephemeral port, read it
+  /// Binds and listens on `address`:`port`.  `address` is an IPv4 dotted
+  /// quad: "127.0.0.1" keeps the port off the network, "0.0.0.0" serves
+  /// every interface.  Port 0 asks the kernel for an ephemeral port (read it
   /// back via port()).  Throws std::runtime_error on failure.
-  [[nodiscard]] static Listener listen_on(std::uint16_t port);
+  [[nodiscard]] static Listener listen_on(const std::string& address, std::uint16_t port);
 
   /// An invalid (unbound) listener; valid() is false.
   Listener() = default;

@@ -23,21 +23,8 @@ std::int64_t now_unix_ms() {
       .count();
 }
 
-std::string default_worker_name(const WorkerConfig& config) {
-  if (!config.name.empty()) return config.name;
-#if !defined(_WIN32)
-  return config.host + ":worker." + std::to_string(::getpid());
-#else
-  return config.host + ":worker";
-#endif
-}
-
-/// Sends one HEARTBEAT frame carrying the standard heartbeat schema (the
-/// same document shape the on-disk progress JSONL uses, so one validator
-/// covers both).  Send failures are swallowed: progress is advisory and a
-/// dead socket will surface on the next blocking read anyway.
-void send_heartbeat(Socket& socket, int shard, const std::string& stage, std::int64_t done,
-                    std::int64_t total, std::int64_t start_ms) {
+telemetry::Heartbeat make_heartbeat(int shard, const std::string& stage, std::int64_t done,
+                                    std::int64_t total, std::int64_t start_ms) {
   telemetry::Heartbeat beat;
   beat.ts_unix_ms = now_unix_ms();
   beat.shard = shard;
@@ -45,6 +32,14 @@ void send_heartbeat(Socket& socket, int shard, const std::string& stage, std::in
   beat.done = done;
   beat.total = total;
   beat.elapsed_ms = static_cast<double>(beat.ts_unix_ms - start_ms);
+  return beat;
+}
+
+/// Sends one HEARTBEAT frame.  Send failures are swallowed: progress is
+/// advisory and a dead socket will surface on the next blocking read anyway.
+void send_heartbeat(Socket& socket, int shard, const std::string& stage, std::int64_t done,
+                    std::int64_t total, std::int64_t start_ms) {
+  const telemetry::Heartbeat beat = make_heartbeat(shard, stage, done, total, start_ms);
   try {
     socket.send_all(
         encode_frame(FrameType::kHeartbeat, telemetry::heartbeat_to_json(beat).dump()));
@@ -72,8 +67,18 @@ void send_metrics(Socket& socket, std::int64_t seq, int jobs_done, int jobs_in_f
 
 }  // namespace
 
+std::string default_worker_name(const std::string& host, long pid) {
+  return host + ":worker." + std::to_string(pid);
+}
+
 WorkerExit run_worker(const WorkerConfig& config, const JobRunner& runner) {
-  const std::string worker_name = default_worker_name(config);
+#if !defined(_WIN32)
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  const std::string worker_name =
+      config.name.empty() ? default_worker_name(config.host, pid) : config.name;
   // Observability plane: spans must exist to ship, so open a buffer-only
   // session when the operator did not request a trace file of their own.
   if (!telemetry::trace_enabled()) telemetry::start_trace_buffered();
@@ -221,6 +226,52 @@ WorkerExit run_worker(const WorkerConfig& config, const JobRunner& runner) {
         return WorkerExit::kProtocol;
     }
   }
+}
+
+FleetSummary run_in_process(const CoordinatorConfig& config,
+                            const CoordinatorCallbacks& callbacks, const JobRunner& runner) {
+  const std::string name = "in-process";
+  const auto event = [&](const std::string& what, int shard, const std::string& detail) {
+    if (callbacks.on_event) callbacks.on_event(what, shard, detail);
+  };
+  FleetSummary summary;
+  summary.workers_seen = 1;
+  for (const int shard : config.jobs) {
+    JobMsg job = config.job_template;
+    job.shard = shard;
+    for (job.attempt = 1; job.attempt <= config.retries + 1; ++job.attempt) {
+      if (job.attempt > 1) ++summary.reassignments;
+      event("dispatch", shard, name);
+      const std::int64_t start_ms = now_unix_ms();
+      try {
+        std::string bytes;
+        {
+          const telemetry::TraceScope span("fleet.job", "fleet",
+                                           {{"shard", JsonValue(shard)},
+                                            {"attempt", JsonValue(job.attempt)}});
+          bytes = runner(job, [&](const std::string& stage, std::int64_t done,
+                                  std::int64_t total) {
+            if (callbacks.on_heartbeat) {
+              callbacks.on_heartbeat(make_heartbeat(shard, stage, done, total, start_ms), name);
+            }
+          });
+        }
+        if (callbacks.on_result) callbacks.on_result(shard, std::move(bytes), name);
+        ++summary.jobs_done;
+        break;
+      } catch (const std::exception& e) {
+        const std::string why = std::string("job failed: ") + e.what();
+        if (job.attempt <= config.retries) {
+          event("retry", shard, why);
+        } else {
+          event("fail", shard, why + " (retry budget exhausted)");
+          ++summary.jobs_failed;
+        }
+      }
+    }
+  }
+  summary.ok = summary.jobs_failed == 0;
+  return summary;
 }
 
 }  // namespace aropuf::net

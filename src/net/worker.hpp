@@ -1,12 +1,16 @@
 // Fleet worker: connects to a coordinator, runs assigned shard jobs, and
-// frames the resulting shard-manifest containers back.
+// frames the results back.
 //
 // The transport loop lives here; the *work* is injected as a JobRunner
 // callback so this module never depends on the simulation layers —
-// tools/aropuf_fleet.cpp wires in sim/shard_study's in-process job runner,
-// and the loopback tests wire in stubs.  Heartbeats ride the same connection:
-// the runner's progress hook is forwarded as HEARTBEAT frames, which is what
-// feeds the coordinator's liveness timeout while a long shard computes.
+// tools/aropuf_fleet.cpp wires in sim/shard_study's job runner,
+// tools/aropuf_auth.cpp the enrollment-store shard builder, and the loopback
+// tests wire in stubs.  run_in_process() drives the same runner and the same
+// coordinator callbacks without any socket: the --no-fork path, and the only
+// one on platforms without a TCP transport.  Heartbeats ride the same
+// connection: the runner's progress hook is forwarded as HEARTBEAT frames,
+// which is what feeds the coordinator's liveness timeout while a long shard
+// computes.
 //
 // State machine (DESIGN.md §11.4): connect → send HELLO → loop { wait frame;
 // JOB → run + RESULT; BYE → exit 0 }.  A job that throws is reported as an
@@ -27,6 +31,7 @@
 #include <functional>
 #include <string>
 
+#include "net/coordinator.hpp"
 #include "net/frame.hpp"
 
 namespace aropuf::net {
@@ -48,14 +53,16 @@ struct WorkerConfig {
   bool abort_first_job = false;
 };
 
-/// Runs one job: returns the serialized shard-manifest container (ARPB bytes
-/// for format "binary", JSON text for "json").  The progress hook's
+/// A running job's progress hook: (stage label, work units done, total).
+using JobProgressFn =
+    std::function<void(const std::string& stage, std::int64_t done, std::int64_t total)>;
+
+/// Runs one job: returns its RESULT bytes (for a study job the serialized
+/// shard-manifest container — ARPB bytes for format "binary", JSON text for
+/// "json"; for an enroll job the ARPS store image).  The progress hook's
 /// (stage, done, total) triples become HEARTBEAT frames.  Throwing reports
 /// the job as failed.
-using JobRunner = std::function<std::string(
-    const JobMsg& job,
-    const std::function<void(const std::string& stage, std::int64_t done, std::int64_t total)>&
-        progress)>;
+using JobRunner = std::function<std::string(const JobMsg& job, const JobProgressFn& progress)>;
 
 /// Exit statuses of run_worker (also the aropuf_fleet worker-mode exit code).
 enum class WorkerExit {
@@ -65,8 +72,22 @@ enum class WorkerExit {
   kAborted = 3,    ///< abort_first_job test hook fired
 };
 
+/// HELLO name of a worker that was given none: "<host>:worker.<pid>".  The
+/// local launcher uses it to map a timed-out connection to its process.
+[[nodiscard]] std::string default_worker_name(const std::string& host, long pid);
+
 /// Blocks until the coordinator dismisses this worker (BYE) or the
 /// connection dies.  Connection-level failures are returned, not thrown.
 [[nodiscard]] WorkerExit run_worker(const WorkerConfig& config, const JobRunner& runner);
+
+/// Runs config.jobs one after another in this process through `runner`,
+/// firing the callbacks a coordinator would: "dispatch"/"retry"/"fail"
+/// events, heartbeats from the runner's progress hook, and on_result with
+/// the RESULT bytes (a throwing runner or on_result consumes an attempt, as
+/// over the wire).  The worker is named "in-process".  Network settings and
+/// on_tick are ignored.
+[[nodiscard]] FleetSummary run_in_process(const CoordinatorConfig& config,
+                                          const CoordinatorCallbacks& callbacks,
+                                          const JobRunner& runner);
 
 }  // namespace aropuf::net

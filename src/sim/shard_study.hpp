@@ -1,4 +1,4 @@
-// Sharded E2+E3 population study: the workload behind tools/aropuf_shard.
+// Sharded E2+E3 population study: the workload behind tools/aropuf_fleet.
 //
 // A statistical study over a large chip population (Wilde-style RO-PUF
 // security analysis at 10k chips) splits into S seed-range shards, each run

@@ -1,7 +1,7 @@
 // Shard-manifest aggregation: N per-process run manifests → one merged run.
 //
-// The sharded-run orchestrator (tools/aropuf_shard.cpp) splits a chip
-// population into seed-range shards, each worker writes an ordinary run
+// The sharded-run job runner (tools/aropuf_fleet.cpp) splits a chip
+// population into seed-range shards, each worker produces an ordinary run
 // manifest (telemetry/manifest.hpp) extended with a "shard" descriptor and a
 // "results" payload, and this module merges those manifests exactly:
 //

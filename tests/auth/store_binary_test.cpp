@@ -87,6 +87,11 @@ TEST_F(StoreBinaryTest, RoundTripIsBitIdentical) {
   EXPECT_FALSE(store->find(DeviceId{0xdeadbeef}).has_value());
 }
 
+TEST_F(StoreBinaryTest, StoreBytesPredictsTheEncodedSize) {
+  EXPECT_EQ(enrollment_store_bytes(params_, records_.size()), image_.size());
+  EXPECT_EQ(enrollment_store_bytes(params_, 0), encode_enrollment_store(params_, {}).size());
+}
+
 TEST_F(StoreBinaryTest, EncodingIsIndependentOfInputOrder) {
   auto reversed = records_;
   std::reverse(reversed.begin(), reversed.end());

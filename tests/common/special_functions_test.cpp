@@ -4,9 +4,39 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace aropuf {
 namespace {
+
+TEST(LogGammaTest, BitIdenticalToStdLgamma) {
+  for (const double x : {0.5, 1.0, 2.0, 3.5, 24.0, 128.0, 1001.0, 65536.0}) {
+    EXPECT_EQ(log_gamma(x), std::lgamma(x)) << "x=" << x;
+  }
+}
+
+// Concurrent callers must see exact values.  Under ThreadSanitizer this is
+// the regression for the global `signgam` write std::lgamma makes on POSIX.
+TEST(LogGammaTest, ConcurrentCallersAgree) {
+  std::vector<double> expected;
+  for (int n = 1; n <= 256; ++n) expected.push_back(std::lgamma(static_cast<double>(n)));
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        for (int n = 1; n <= 256; ++n) {
+          if (log_gamma(static_cast<double>(n)) != expected[static_cast<std::size_t>(n - 1)]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const int m : mismatches) EXPECT_EQ(m, 0);
+}
 
 TEST(GammaTest, PAndQAreComplementary) {
   for (const double a : {0.5, 1.0, 2.5, 10.0}) {

@@ -225,6 +225,46 @@ TEST(FrameTest, JobRoundTripAndValidation) {
   EXPECT_THROW((void)job_from_json(job_to_json(bad)), FrameError);
 }
 
+TEST(FrameTest, EnrollJobRoundTripAndKindDefault) {
+  JobMsg msg;
+  msg.kind = "enroll";
+  msg.shard = 1;
+  msg.shards = 4;
+  msg.seed = 2014;
+  msg.devices = 1000000;
+  msg.bits = 128;
+  msg.model = "synthetic";
+  const JsonValue doc = job_to_json(msg);
+  // Study-only keys stay off an enroll JOB's wire document.
+  EXPECT_FALSE(doc.contains("chips"));
+  EXPECT_FALSE(doc.contains("checkpoints"));
+  const JobMsg back = job_from_json(frame_payload_json(decode_one(encode_job(msg))));
+  EXPECT_EQ(back.kind, "enroll");
+  EXPECT_EQ(back.shard, 1);
+  EXPECT_EQ(back.shards, 4);
+  EXPECT_EQ(back.seed, 2014u);
+  EXPECT_EQ(back.devices, 1000000u);
+  EXPECT_EQ(back.bits, 128);
+  EXPECT_EQ(back.model, "synthetic");
+
+  JobMsg bad = msg;
+  bad.devices = 0;
+  EXPECT_THROW((void)job_from_json(job_to_json(bad)), FrameError);
+  bad = msg;
+  bad.model = "arbiter";
+  EXPECT_THROW((void)job_from_json(job_to_json(bad)), FrameError);
+  bad = msg;
+  bad.kind = "render";
+  EXPECT_THROW((void)job_from_json(job_to_json(bad)), FrameError);
+
+  // A JOB without "kind" predates enrollment jobs: it decodes as a study.
+  const JobMsg old = job_from_json(JsonValue::parse(
+      R"({"shard": 0, "shards": 1, "chips": 8, "seed": 1, "checkpoints": [1],)"
+      R"( "run": "r", "format": "json"})"));
+  EXPECT_EQ(old.kind, "study");
+  EXPECT_EQ(old.chips, 8);
+}
+
 TEST(FrameTest, ErrorRoundTripWithDefaults) {
   ErrorMsg msg;
   msg.code = "job-failed";

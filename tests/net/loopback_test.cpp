@@ -11,11 +11,16 @@
 // process-global, so two concurrent in-process jobs would interleave their
 // telemetry.  Real fleet workers are separate processes — the parallel case
 // is covered by the tools.fleet_* ctest legs driving real binaries.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,12 +38,30 @@
 namespace aropuf::net {
 namespace {
 
+/// The address the kernel reports for a listener's socket (dotted quad).
+std::string bound_address(const Listener& listener) {
+  struct sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  if (::getsockname(listener.fd(), reinterpret_cast<struct sockaddr*>(&bound), &len) != 0) {
+    return "";
+  }
+  char text[INET_ADDRSTRLEN] = {};
+  ::inet_ntop(AF_INET, &bound.sin_addr, text, sizeof text);
+  return text;
+}
+
 ShardStudyConfig tiny_config() {
   ShardStudyConfig cfg;
   cfg.pop.chips = 8;
   cfg.pop.seed = 77;
   cfg.checkpoints = {1.0};
   return cfg;
+}
+
+std::vector<int> all_jobs(int shards) {
+  std::vector<int> jobs(static_cast<std::size_t>(shards));
+  std::iota(jobs.begin(), jobs.end(), 0);
+  return jobs;
 }
 
 JobMsg job_template(const ShardStudyConfig& cfg, int shards, const std::string& format) {
@@ -81,7 +104,7 @@ TEST(LoopbackTest, FleetMergeIsBitIdenticalToDirectFold) {
   for (const std::string format : {"binary", "json"}) {
     CoordinatorConfig config;
     config.port = 0;
-    config.jobs = kShards;
+    config.jobs = all_jobs(kShards);
     config.job_template = job_template(cfg, kShards, format);
 
     telemetry::AggregateBuilder builder(telemetry::RawSeriesPolicy::kKeep);
@@ -123,7 +146,7 @@ TEST(LoopbackTest, KilledWorkerJobIsReassignedAndStillBitIdentical) {
 
   CoordinatorConfig config;
   config.port = 0;
-  config.jobs = kShards;
+  config.jobs = all_jobs(kShards);
   config.retries = 1;
   config.job_template = job_template(cfg, kShards, "binary");
 
@@ -182,7 +205,7 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
   // whatever is buffered).  Assertions therefore target what survives the
   // blur — one trace_id, synthetic pids present, monotonic merged timestamps,
   // coordinator-side job accounting.  Per-process attribution is covered by
-  // scripts/fleet_smoke.sh with real separate binaries.
+  // scripts/fleet_checks.sh (tcp legs) with real separate binaries.
   (void)telemetry::drain_trace_events();  // flush spans left by earlier tests
 
   const ShardStudyConfig cfg = tiny_config();
@@ -190,7 +213,7 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
 
   CoordinatorConfig config;
   config.port = 0;
-  config.jobs = kShards;
+  config.jobs = all_jobs(kShards);
   config.retries = 1;
   config.job_template = job_template(cfg, kShards, "binary");
   config.job_template.trace_id = "loopbacktrace001";
@@ -297,7 +320,7 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
 TEST(LoopbackTest, ThrowingJobConsumesRetryBudgetThenFails) {
   CoordinatorConfig config;
   config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.retries = 1;  // 2 attempts total
   config.job_template = job_template(tiny_config(), 1, "binary");
 
@@ -329,7 +352,7 @@ TEST(LoopbackTest, ThrowingJobConsumesRetryBudgetThenFails) {
   EXPECT_FALSE(summary.ok);
   EXPECT_EQ(summary.jobs_done, 0);
   EXPECT_EQ(summary.jobs_failed, 1);
-  EXPECT_EQ(attempts.load(), 2);  // retries + 1, the aropuf_shard budget rule
+  EXPECT_EQ(attempts.load(), 2);  // retries + 1
 }
 
 TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
@@ -337,13 +360,13 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
   // throwing must consume an attempt and redispatch.
   CoordinatorConfig config;
   config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.retries = 1;
   config.job_template = job_template(tiny_config(), 1, "binary");
 
   std::atomic<int> results_seen{0};
   CoordinatorCallbacks callbacks;
-  callbacks.on_result = [&](int, std::string bytes, const std::string&) {
+  callbacks.on_result = [&](int, std::string, const std::string&) {
     if (results_seen.fetch_add(1) == 0) {
       throw std::runtime_error("synthetic fold rejection");
     }
@@ -368,7 +391,7 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
 TEST(LoopbackTest, VersionMismatchGetsStructuredErrorThenGoodWorkerFinishes) {
   CoordinatorConfig config;
   config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.job_template = job_template(tiny_config(), 1, "binary");
 
   CoordinatorCallbacks callbacks;
@@ -419,6 +442,70 @@ TEST(LoopbackTest, VersionMismatchGetsStructuredErrorThenGoodWorkerFinishes) {
   EXPECT_EQ(summary.jobs_done, 1);
   // The mismatched client never completed the handshake.
   EXPECT_EQ(summary.workers_seen, 1);
+}
+
+TEST(LoopbackTest, ListenerReportsItsBindAddress) {
+  // A local run must never open its unauthenticated port to the network:
+  // the kernel itself (getsockname) has to report the loopback address.
+  const Listener loopback = Listener::listen_on("127.0.0.1", 0);
+  EXPECT_EQ(bound_address(loopback), "127.0.0.1");
+  EXPECT_GT(loopback.port(), 0);
+  const Listener any = Listener::listen_on("0.0.0.0", 0);
+  EXPECT_EQ(bound_address(any), "0.0.0.0");
+  EXPECT_THROW((void)Listener::listen_on("localhost", 0), std::runtime_error);
+}
+
+TEST(LoopbackTest, CoordinatorDispatchesOnlyTheListedShards) {
+  // A resumed run hands over only the missing shards: of 3, just shard 1.
+  CoordinatorConfig config;
+  config.jobs = {1};
+  config.job_template = job_template(tiny_config(), 3, "binary");
+  std::set<int> dispatched;
+  std::set<int> folded;
+  CoordinatorCallbacks callbacks;
+  callbacks.on_result = [&](int shard, std::string, const std::string&) { folded.insert(shard); };
+  callbacks.on_event = [&](const std::string& event, int shard, const std::string&) {
+    if (event == "dispatch") dispatched.insert(shard);
+  };
+  int ticks = 0;
+  callbacks.on_tick = [&](std::size_t) { return ++ticks > 0; };
+
+  Coordinator coordinator(config, std::move(callbacks));
+  const std::uint16_t port = coordinator.port();
+  std::thread worker_thread([port] {
+    WorkerConfig wc;
+    wc.host = "127.0.0.1";
+    wc.port = port;
+    EXPECT_EQ(run_worker(wc, study_runner()), WorkerExit::kBye);
+  });
+  const FleetSummary summary = coordinator.run();
+  worker_thread.join();
+  EXPECT_TRUE(summary.ok);
+  EXPECT_EQ(summary.jobs_done, 1);
+  EXPECT_EQ(dispatched, std::set<int>{1});
+  EXPECT_EQ(folded, std::set<int>{1});
+  EXPECT_GT(ticks, 0);
+
+  // Indices outside the shard plan, or repeated, are configuration errors.
+  config.jobs = {3};
+  EXPECT_THROW(Coordinator(config, {}), std::runtime_error);
+  config.jobs = {0, 0};
+  EXPECT_THROW(Coordinator(config, {}), std::runtime_error);
+}
+
+TEST(LoopbackTest, OnTickReturningFalseEndsTheRun) {
+  CoordinatorConfig config;
+  config.jobs = {0};
+  config.job_template = job_template(tiny_config(), 1, "binary");
+  CoordinatorCallbacks callbacks;
+  callbacks.on_tick = [](std::size_t jobs_left) {
+    EXPECT_EQ(jobs_left, 1u);
+    return false;  // no worker will ever come
+  };
+  Coordinator coordinator(config, std::move(callbacks));
+  const FleetSummary summary = coordinator.run();
+  EXPECT_FALSE(summary.ok);
+  EXPECT_EQ(summary.jobs_done, 0);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // aropuf_auth — fleet enrollment-store builder and verification bench.
 //
-// Build mode: enroll an N-device fleet into an ARPS binary store via
-// seed-range shard workers (self-exec child processes on UNIX, in-process
-// elsewhere or with --no-fork) merged deterministically:
+// Build mode: enroll an N-device fleet into an ARPS binary store as
+// seed-range shard jobs, merged deterministically.  The shards are "enroll"
+// jobs on the fleet job runner: a loopback coordinator hands them to --jobs
+// local worker processes (this binary re-exec'd with --worker HOST:PORT,
+// net/local_workers), each worker returns its shard's ARPS image as the
+// RESULT, and the tool writes it as shard-k.arps before the merge.  With
+// --no-fork, a single shard, or no fork/exec on the platform, the same jobs
+// run in-process:
 //
 //   $ aropuf_auth --build --devices 1000000 --shards 8 --jobs 4 --out runs/fleet-1m
 //
@@ -10,21 +15,21 @@
 // at each requested thread count, reporting auth/sec, p50/p99 latency, and
 // the measured FAR/FRR.  The per-request decision vector is hashed; if any
 // thread count (or the cached re-run) produces a different decision digest
-// the tool exits 3 — the service twin of aropuf_shard's --check-single.
+// the tool exits 3 — the service twin of aropuf_fleet's --check-single.
 //
 //   $ aropuf_auth --store runs/fleet-1m/store.arps --requests 200000 --threads 1,4 --cache 4096
 //
 // Exit codes: 0 ok, 1 failure, 2 usage error, 3 determinism mismatch.
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <exception>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "auth/auth_service.hpp"
@@ -32,18 +37,12 @@
 #include "auth/store_binary.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "net/frame.hpp"
+#include "net/local_workers.hpp"
+#include "net/socket.hpp"
+#include "net/worker.hpp"
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
-
-#if !defined(_WIN32)
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#define AROPUF_HAVE_FORK 1
-#else
-#include <direct.h>
-#endif
 
 namespace {
 
@@ -74,8 +73,7 @@ struct Options {
   std::uint64_t workload_seed = 7;
   bool quiet = false;
 
-  bool worker = false;
-  int shard_index = 0;
+  std::string worker_spec;  ///< "HOST:PORT": serve enroll jobs (internal)
 };
 
 bool parse_thread_list(const std::string& value, std::vector<int>* out) {
@@ -97,162 +95,112 @@ bool parse_thread_list(const std::string& value, std::vector<int>* out) {
   return true;
 }
 
-bool make_output_dir(const std::string& path) {
-#if defined(_WIN32)
-  return _mkdir(path.c_str()) == 0 || errno == EEXIST;
-#else
-  return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
-#endif
-}
-
 std::string shard_store_path(const Options& opt, int index) {
   return opt.out_dir + "/shard-" + std::to_string(index) + ".arps";
 }
 
 std::string merged_store_path(const Options& opt) { return opt.out_dir + "/store.arps"; }
 
-FleetConfig fleet_from_options(const Options& opt) {
+/// The enroll job body, shared by local worker processes and the in-process
+/// loop: one shard's ARPS store image.
+std::string run_enroll_job(const net::JobMsg& job, const net::JobProgressFn&) {
+  if (job.kind != "enroll") {
+    throw std::runtime_error("aropuf_auth workers run enroll jobs, not '" + job.kind + "'");
+  }
   FleetConfig fleet;
-  fleet.devices = opt.devices;
-  fleet.seed = opt.seed;
-  fleet.response_bits = static_cast<std::uint32_t>(opt.bits);
-  fleet.model = opt.model == "sim" ? FleetModel::kSim : FleetModel::kSynthetic;
-  return fleet;
+  fleet.devices = job.devices;
+  fleet.seed = job.seed;
+  fleet.response_bits = static_cast<std::uint32_t>(job.bits);
+  fleet.model = job.model == "sim" ? FleetModel::kSim : FleetModel::kSynthetic;
+  return encode_fleet_shard(fleet, static_cast<std::size_t>(job.shard),
+                            static_cast<std::size_t>(job.shards));
 }
 
-#if defined(AROPUF_HAVE_FORK)
-/// Spawns one shard-build worker: self-exec with hidden --worker plumbing.
-long spawn_worker(const std::string& exe, const Options& opt, int index) {
-  std::vector<std::string> args = {
-      exe,
-      "--build",
-      "--worker",
-      "--shard-index",
-      std::to_string(index),
-      "--shards",
-      std::to_string(opt.shards),
-      "--devices",
-      std::to_string(opt.devices),
-      "--bits",
-      std::to_string(opt.bits),
-      "--model",
-      opt.model,
-      "--seed",
-      std::to_string(opt.seed),
-      "--out",
-      opt.out_dir,
-  };
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "aropuf_auth: fork failed: %s\n", std::strerror(errno));
-    return -1;
+int run_worker_mode(const Options& opt) {
+  net::WorkerConfig config;
+  if (!net::parse_hostport(opt.worker_spec, &config.host, &config.port)) {
+    std::fprintf(stderr, "aropuf_auth: bad --worker spec '%s'\n", opt.worker_spec.c_str());
+    return 2;
   }
-  if (pid == 0) {
-    ::execv(exe.c_str(), argv.data());
-    std::fprintf(stderr, "aropuf_auth: exec %s failed: %s\n", exe.c_str(), std::strerror(errno));
-    ::_exit(127);
-  }
-  return pid;
+  return static_cast<int>(net::run_worker(config, run_enroll_job));
 }
-
-/// Resolves the path this binary can be re-exec'd from.
-std::string self_executable(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
-}
-
-/// Runs shard builds as child processes, at most opt.jobs concurrently, with
-/// one retry per shard.  Returns true when every shard store landed.
-bool build_shards_forked(const Options& opt, const char* argv0) {
-  const std::string exe = self_executable(argv0);
-  std::deque<int> pending;
-  for (int k = 0; k < opt.shards; ++k) pending.push_back(k);
-  std::vector<int> attempts(static_cast<std::size_t>(opt.shards), 0);
-  std::vector<long> pid_of(static_cast<std::size_t>(opt.shards), -1);
-  int running = 0;
-  int finished = 0;
-  bool failed = false;
-  while (finished < opt.shards && !failed) {
-    while (running < opt.jobs && !pending.empty()) {
-      const int k = pending.front();
-      pending.pop_front();
-      const long pid = spawn_worker(exe, opt, k);
-      if (pid < 0) return false;
-      pid_of[static_cast<std::size_t>(k)] = pid;
-      ++attempts[static_cast<std::size_t>(k)];
-      ++running;
-    }
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, 0);
-    if (reaped < 0) return false;
-    --running;
-    int shard = -1;
-    for (int k = 0; k < opt.shards; ++k) {
-      if (pid_of[static_cast<std::size_t>(k)] == reaped) shard = k;
-    }
-    if (shard < 0) continue;
-    pid_of[static_cast<std::size_t>(shard)] = -1;
-    const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (ok) {
-      ++finished;
-      if (!opt.quiet) {
-        std::printf("aropuf_auth: shard %d/%d built\n", shard + 1, opt.shards);
-      }
-    } else if (attempts[static_cast<std::size_t>(shard)] < 2) {
-      std::fprintf(stderr, "aropuf_auth: shard %d failed, retrying\n", shard);
-      pending.push_back(shard);
-    } else {
-      std::fprintf(stderr, "aropuf_auth: shard %d failed twice, giving up\n", shard);
-      failed = true;
-    }
-  }
-  return !failed;
-}
-#endif  // AROPUF_HAVE_FORK
 
 int run_build(const Options& opt, const char* argv0) {
-  const FleetConfig fleet = fleet_from_options(opt);
-
-  if (opt.worker) {
-    // Hidden worker mode: build one shard in-process and exit.
-    build_fleet_shard(fleet, static_cast<std::size_t>(opt.shard_index),
-                      static_cast<std::size_t>(opt.shards), shard_store_path(opt, opt.shard_index));
-    return 0;
+  const bool forked = !opt.no_fork && opt.shards > 1 && net::net_available();
+  if (forked) {
+    // A worker returns its shard as one RESULT frame, so the largest shard
+    // (shard 0 takes the remainder) must fit the frame cap.
+    AuthStoreParams params;
+    params.response_bits = static_cast<std::uint32_t>(opt.bits);
+    const std::uint64_t header = enrollment_store_bytes(params, 0);
+    const std::uint64_t per_device = enrollment_store_bytes(params, 1) - header;
+    const std::uint64_t max_devices = (net::kMaxResultPayload - header) / per_device;
+    const std::uint64_t largest = fleet_shard_range(opt.devices, 0, opt.shards).second;
+    if (largest > max_devices) {
+      std::fprintf(stderr,
+                   "aropuf_auth: a %llu-device shard exceeds the %u-byte worker result limit "
+                   "(%llu devices at %llu bytes each); raise --shards to at least %llu\n",
+                   static_cast<unsigned long long>(largest), net::kMaxResultPayload,
+                   static_cast<unsigned long long>(max_devices),
+                   static_cast<unsigned long long>(per_device),
+                   static_cast<unsigned long long>((opt.devices + max_devices - 1) / max_devices));
+      return 2;
+    }
   }
 
-  if (!make_output_dir(opt.out_dir)) {
-    std::fprintf(stderr, "aropuf_auth: cannot create %s\n", opt.out_dir.c_str());
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "aropuf_auth: cannot create %s: %s\n", opt.out_dir.c_str(),
+                 ec.message().c_str());
     return 1;
   }
 
   const auto build_start = std::chrono::steady_clock::now();
   {
     telemetry::StageTimer timer("enroll_shards");
-    bool forked = false;
-#if defined(AROPUF_HAVE_FORK)
-    if (!opt.no_fork && opt.shards > 1) {
-      if (!build_shards_forked(opt, argv0)) return 1;
-      forked = true;
-    }
-#else
-    (void)argv0;
-#endif
-    if (!forked) {
-      for (int k = 0; k < opt.shards; ++k) {
-        build_fleet_shard(fleet, static_cast<std::size_t>(k),
-                          static_cast<std::size_t>(opt.shards), shard_store_path(opt, k));
-        if (!opt.quiet) std::printf("aropuf_auth: shard %d/%d built\n", k + 1, opt.shards);
+    net::CoordinatorConfig config;
+    for (int k = 0; k < opt.shards; ++k) config.jobs.push_back(k);
+    config.retries = 1;
+    // Shard builds send no heartbeats, so silence is not a liveness signal.
+    config.heartbeat_timeout_s = 0;
+    config.job_template.kind = "enroll";
+    config.job_template.shards = opt.shards;
+    config.job_template.seed = opt.seed;
+    config.job_template.devices = opt.devices;
+    config.job_template.bits = static_cast<int>(opt.bits);
+    config.job_template.model = opt.model;
+
+    net::CoordinatorCallbacks callbacks;
+    callbacks.on_result = [&opt](int shard, std::string bytes, const std::string&) {
+      // Throwing routes the shard through the retry budget.
+      const std::string path = shard_store_path(opt, shard);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      out.flush();
+      if (!out.good()) throw std::runtime_error("cannot write " + path);
+      if (!opt.quiet) std::printf("aropuf_auth: shard %d/%d built\n", shard + 1, opt.shards);
+    };
+    callbacks.on_event = [](const std::string& event, int shard, const std::string& detail) {
+      if (event == "retry" || event == "fail") {
+        std::fprintf(stderr, "aropuf_auth: shard %d: %s (%s)\n", shard, event.c_str(),
+                     detail.c_str());
       }
+    };
+
+    net::FleetSummary summary;
+    if (forked) {
+      net::LocalWorkers workers;
+      workers.executable = net::self_executable(argv0);
+      workers.count = opt.jobs;
+      summary = net::run_local(std::move(config), std::move(callbacks), workers);
+    } else {
+      summary = net::run_in_process(config, callbacks, run_enroll_job);
+    }
+    if (!summary.ok) {
+      std::fprintf(stderr, "aropuf_auth: %d shard build(s) failed\n",
+                   opt.shards - summary.jobs_done);
+      return 1;
     }
   }
 
@@ -441,8 +389,7 @@ int main(int argc, char** argv) {
                   0.0)
       .opt_uint64("--workload-seed", &opt.workload_seed, "W", "request-stream seed")
       .flag("--quiet", &opt.quiet, "suppress progress output");
-  parser.flag("--worker", &opt.worker, "").hidden();
-  parser.opt_int("--shard-index", &opt.shard_index, "K", "", 0).hidden();
+  parser.opt_string("--worker", &opt.worker_spec, "HOST:PORT", "").hidden();
   parser.with_env_help();
 
   switch (parser.parse(argc, argv)) {
@@ -450,6 +397,7 @@ int main(int argc, char** argv) {
     case cli::ParseStatus::kHelp: return 0;
     case cli::ParseStatus::kError: return 2;
   }
+  if (!opt.worker_spec.empty()) return run_worker_mode(opt);
   if (!opt.build && opt.store_path.empty()) {
     std::fprintf(stderr, "aropuf_auth: need --build or --store PATH (see --help)\n");
     return 2;

@@ -1,18 +1,15 @@
-// aropuf_fleet: fleet orchestration of the E2+E3 population study over TCP.
+// aropuf_fleet: the one job runner for the sharded E2+E3 population study.
 //
-// One binary, two modes (the same shape aropuf_shard has, with the process
-// boundary widened to a network boundary):
+// One binary, three modes:
 //
-//  * coordinator (default) — listens on --listen PORT, splits the chip
-//    population into --shards seed-range shard jobs using the same planner
-//    aropuf_shard uses, and dispatches them to whatever workers connect.
-//    Returned shard-manifest containers are persisted into --out (the exact
-//    bytes a disk-writing worker would have produced) and streamed straight
-//    into AggregateBuilder through the format-agnostic decode path, so the
-//    merged manifest is bit-identical to a single-host aropuf_shard run —
-//    --check-single proves it on demand.  Workers that die, stall past
-//    --worker-timeout, or return manifests that will not fold route their
-//    jobs back through the retry budget (--retries).
+//  * local (default) — binds a coordinator on 127.0.0.1, fork/execs --jobs
+//    copies of itself as workers (net/local_workers), and runs the study as
+//    --shards seed-range shard jobs.  With --no-fork (and on platforms
+//    without fork/exec or sockets) the same jobs run one after another in
+//    this process instead, through the same callbacks.
+//
+//  * coordinator (--listen PORT) — the same run served to whatever workers
+//    connect over TCP, on every interface.
 //
 //  * worker (--worker HOST:PORT) — connects to a coordinator, runs assigned
 //    shard jobs in-process (sim/shard_study), and frames each resulting
@@ -20,39 +17,52 @@
 //    Workers are stateless: every job message carries the full study
 //    parameterization, so a worker binary needs no other configuration.
 //
+// Every run folds results as they land: each returned shard-manifest
+// container is persisted into --out (the exact bytes a disk-writing worker
+// would have produced) and streamed into AggregateBuilder, so the merged
+// manifest is bit-identical to a single-process run — --check-single proves
+// it on demand.  --resume folds the shard manifests already in --out first
+// and dispatches only the missing shards.  Workers that die, stall past
+// --worker-timeout, or return manifests that will not fold route their jobs
+// back through the retry budget (--retries); a local worker that stalls is
+// killed and replaced.
+//
 // The wire protocol (ARPF frames: HELLO/JOB/HEARTBEAT/RESULT/ERROR/METRICS/
 // BYE) is specified normatively in DESIGN.md §11; docs/runbook-fleet.md is
 // the operator guide.
 //
 // Observability: the coordinator stamps a fleet-wide trace id on every JOB,
-// folds worker METRICS snapshots into a live per-worker HUD (TTY only), and
-// on exit writes fleet_trace.json (merged offset-corrected Chrome timeline),
-// fleet_metrics.json (schema aropuf-fleet-metrics v1), and
+// folds worker heartbeats and METRICS snapshots into a live per-worker HUD
+// (TTY only), and on exit writes fleet_trace.json (merged offset-corrected
+// Chrome timeline), fleet_metrics.json (schema aropuf-fleet-metrics v1), and
 // fleet_metrics.prom (Prometheus text exposition) into --out — for failed
 // runs too.
 //
-// Exit codes, coordinator mode: 0 success; 1 failed jobs, fold errors,
-// provenance conflicts, or write errors; 2 usage error; 3 --check-single
-// mismatch (fleet-merged statistics differ from the single-process run — a
-// determinism regression, never acceptable).  Worker mode exits with the
-// WorkerExit status (0 = dismissed with BYE).
+// Exit codes, local and coordinator modes: 0 success; 1 failed jobs, fold
+// errors, provenance conflicts, or write errors; 2 usage error; 3
+// --check-single mismatch (merged statistics differ from the single-process
+// run — a determinism regression, never acceptable).  Worker mode exits with
+// the WorkerExit status (0 = dismissed with BYE).
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "net/coordinator.hpp"
 #include "net/fleet_view.hpp"
+#include "net/local_workers.hpp"
 #include "net/socket.hpp"
 #include "net/worker.hpp"
 #include "sim/parallel.hpp"
@@ -62,14 +72,11 @@
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prof.hpp"
+#include "telemetry/progress.hpp"
 #include "telemetry/trace.hpp"
 
 #if !defined(_WIN32)
-#include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
-#else
-#include <direct.h>
 #endif
 
 namespace {
@@ -77,21 +84,24 @@ namespace {
 using namespace aropuf;
 
 struct Options {
-  // Study parameters (coordinator; shipped to workers inside each JOB).
+  // Study parameters (shipped to workers inside each JOB).
   int chips = 40;
   std::uint64_t seed = 2014;
   std::vector<double> checkpoints = {1.0, 2.0, 5.0, 10.0};
   std::string run = "fleet_study";
   std::string format = "binary";  ///< RESULT transport: "binary" or "json"
 
-  // Coordinator parameters.
-  int listen_port = -1;  ///< -1 = coordinator mode not selected
+  // Run parameters (local and coordinator modes).
+  int listen_port = -1;  ///< -1 = local mode (no --listen)
   std::string port_file;
   int shards = 4;
+  int jobs = 0;  ///< local worker processes; 0 = min(shards, cores)
   int retries = 1;
   double worker_timeout_s = 60.0;
   double timeout_s = 0.0;
   std::string out_dir = "fleet-run";
+  bool resume = false;
+  bool no_fork = false;
   bool drop_raw = false;
   bool check_single = false;
   bool quiet = false;
@@ -119,41 +129,34 @@ bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
   return true;
 }
 
-/// Parses "HOST:PORT" (worker connect target).  The last ':' splits, so IPv6
-/// literals work unbracketed as long as the port is present.
-bool parse_hostport(const std::string& spec, std::string* host, std::uint16_t* port) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) return false;
-  char* end = nullptr;
-  const long p = std::strtol(spec.substr(colon + 1).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || p < 1 || p > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 int parse_args(int argc, char** argv, Options* opt) {
   cli::Parser parser("aropuf_fleet",
-                     "TCP fleet orchestrator for the E2+E3 population study");
+                     "sharded E2+E3 population study: local worker processes or a TCP fleet");
   parser
       .opt_int("--chips", &opt->chips, "N", "total chip population (default 40)", 2)
       .opt_uint64("--seed", &opt->seed, "S", "master RNG seed (default 2014)")
       .opt_custom("--checkpoints", "CSV", "aging years, non-decreasing (default 1,2,5,10)",
                   [opt](const std::string& v) { return parse_checkpoints(v, &opt->checkpoints); })
       .opt_string("--run", &opt->run, "NAME", "run name in manifests (default fleet_study)")
+      .opt_int("--shards", &opt->shards, "K", "number of shard jobs (default 4)", 1)
+      .opt_int("--jobs", &opt->jobs, "J",
+               "local mode: worker processes (default min(K, cores))", 1)
+      .flag("--no-fork", &opt->no_fork, "local mode: run shards one by one in this process")
       .opt_int("--listen", &opt->listen_port, "PORT",
-               "coordinator mode: listen on PORT (0 = kernel-assigned)", 0)
+               "coordinator mode: serve remote workers on PORT, all interfaces "
+               "(0 = kernel-assigned)",
+               0)
       .opt_string("--port-file", &opt->port_file, "PATH",
                   "coordinator: write the bound port to PATH once listening")
-      .opt_int("--shards", &opt->shards, "K", "number of shard jobs (default 4)", 1)
       .opt_int("--retries", &opt->retries, "R", "retries per failed job (default 1)", 0)
       .opt_double("--worker-timeout", &opt->worker_timeout_s, "SEC",
-                  "reassign a silent busy worker's job after SEC seconds "
-                  "(default 60, 0 = never)",
+                  "reassign a silent busy worker's job after SEC seconds; local "
+                  "workers are also killed (default 60, 0 = never)",
                   0.0)
       .opt_double("--timeout", &opt->timeout_s, "SEC",
                   "abort the whole run after SEC seconds (default: none)", 0.0)
       .opt_string("--out", &opt->out_dir, "DIR", "output directory (default fleet-run)")
+      .flag("--resume", &opt->resume, "fold valid shard manifests in DIR, run only the rest")
       .opt_string("--format", &opt->format, "FMT",
                   "shard manifest transport: binary or json (default binary)")
       .flag("--drop-raw", &opt->drop_raw,
@@ -164,7 +167,7 @@ int parse_args(int argc, char** argv, Options* opt) {
                   "worker mode: serve jobs from the coordinator at HOST:PORT")
       .opt_string("--name", &opt->worker_name, "NAME", "worker display name (default host:pid)")
       .opt_int("--threads", &opt->threads, "T",
-               "worker threads per job (default: library default)", 1)
+               "threads per shard job (default: library default)", 1)
       .with_env_help();
   // Deterministic killed-worker simulation for the e2e tests: hard-close the
   // connection on the first assigned job.  Parsed but kept out of --help.
@@ -179,12 +182,14 @@ int parse_args(int argc, char** argv, Options* opt) {
     case cli::ParseStatus::kOk:
       break;
   }
-  const bool coordinator = opt->listen_port >= 0;
+  const bool listen = opt->listen_port >= 0;
   const bool worker = !opt->worker_spec.empty();
-  if (coordinator == worker) {
-    std::fprintf(stderr,
-                 "aropuf_fleet: pick exactly one mode: --listen PORT (coordinator) or "
-                 "--worker HOST:PORT\n");
+  if (listen && worker) {
+    std::fprintf(stderr, "aropuf_fleet: --listen and --worker are exclusive modes\n");
+    return 2;
+  }
+  if ((listen || worker) && (opt->no_fork || opt->jobs > 0)) {
+    std::fprintf(stderr, "aropuf_fleet: --jobs and --no-fork apply to local runs only\n");
     return 2;
   }
   if (opt->listen_port > 65535) {
@@ -196,14 +201,6 @@ int parse_args(int argc, char** argv, Options* opt) {
     return 2;
   }
   return 0;
-}
-
-bool make_output_dir(const std::string& dir) {
-#if !defined(_WIN32)
-  return ::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST;
-#else
-  return ::_mkdir(dir.c_str()) == 0 || errno == EEXIST;
-#endif
 }
 
 std::int64_t now_unix_ms() {
@@ -244,14 +241,18 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return static_cast<bool>(out);
 }
 
-/// Live per-worker fleet table, redrawn in place with the same cursor-up +
-/// line-clear idiom aropuf_shard's HUD uses.  Active only on a TTY without
-/// --quiet; when active it replaces the per-event narration entirely (the
-/// two would shred each other's terminal region).
+/// Live per-worker fleet table, redrawn in place (cursor-up + line-clear).
+/// Active only on a TTY without --quiet; when active it replaces the
+/// per-event narration entirely (the two would shred each other's terminal
+/// region).  The ETA counts shard units: finished shards plus each busy
+/// worker's heartbeat fraction, with resumed shards pinned as the estimator
+/// baseline so they do not inflate the observed rate.
 class FleetHud {
  public:
-  FleetHud(bool enabled, int shards, std::int64_t start_unix_ms)
-      : enabled_(enabled), shards_(shards), start_unix_ms_(start_unix_ms) {}
+  FleetHud(bool enabled, int shards, int resumed, std::int64_t start_unix_ms)
+      : enabled_(enabled), shards_(shards), resumed_(resumed), start_unix_ms_(start_unix_ms) {
+    eta_.add_baseline(resumed);
+  }
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -268,6 +269,18 @@ class FleetHud {
     if (!force && now - last_render_ms_ < 100) return;
     last_render_ms_ = now;
 
+    double units = resumed_ + view.shards_done();
+    for (const net::WorkerView& w : view.workers()) {
+      if (w.busy_shard >= 0 && w.stage_total > 0) {
+        units += std::min(1.0, static_cast<double>(w.stage_done) /
+                                   static_cast<double>(w.stage_total));
+      }
+    }
+    const double elapsed = static_cast<double>(now - start_unix_ms_) / 1000.0;
+    const double eta = eta_.eta_seconds(units, shards_, elapsed);
+    char eta_text[32] = "";
+    if (eta >= 0.0) std::snprintf(eta_text, sizeof eta_text, "  eta %.1fs", eta);
+
     if (erase_lines_ > 0) std::printf("\x1b[%zuF", erase_lines_);
     std::size_t lines = 0;
     auto line = [&lines](const std::string& text) {
@@ -276,17 +289,19 @@ class FleetHud {
     };
     char head[256];
     std::snprintf(head, sizeof head,
-                  "fleet: %d/%d done  %d failed  %d reassigned  elapsed %.1fs%s%s",
-                  view.shards_done(), shards_, view.shards_failed(), view.reassignments(),
-                  static_cast<double>(now - start_unix_ms_) / 1000.0,
+                  "fleet: %d/%d done  %d failed  %d reassigned  elapsed %.1fs%s%s%s",
+                  resumed_ + view.shards_done(), shards_, view.shards_failed(),
+                  view.reassignments(), elapsed, eta_text,
                   last_event_.empty() ? "" : "  |  ", last_event_.c_str());
     line(head);
     for (const net::WorkerView& w : view.workers()) {
       char row[256];
-      std::string stage = w.last_stage.empty() ? "-" : w.last_stage;
+      char units[48] = "";
       if (w.stage_total > 0) {
-        stage += " " + std::to_string(w.stage_done) + "/" + std::to_string(w.stage_total);
+        std::snprintf(units, sizeof units, " %lld/%lld", static_cast<long long>(w.stage_done),
+                      static_cast<long long>(w.stage_total));
       }
+      const std::string stage = (w.last_stage.empty() ? "-" : w.last_stage) + units;
       std::snprintf(row, sizeof row,
                     "  worker[%d] %-24s %s  jobs %d/%d  retry %d  %s  clk%+.1fms",
                     w.pid - 2, w.name.c_str(),
@@ -311,42 +326,42 @@ class FleetHud {
  private:
   bool enabled_;
   int shards_;
+  int resumed_;
   std::int64_t start_unix_ms_;
   std::int64_t last_render_ms_ = 0;
   std::size_t erase_lines_ = 0;
   std::string last_event_;
+  telemetry::EtaEstimator eta_;
 };
+
+/// The job body, shared by remote workers, local worker processes and the
+/// in-process (--no-fork) loop.
+std::string run_study_job(const net::JobMsg& job, const StudyProgressFn& progress) {
+  if (job.kind != "study") {
+    throw std::runtime_error("aropuf_fleet workers run study jobs, not '" + job.kind + "'");
+  }
+  ShardStudyConfig cfg;
+  cfg.pop.chips = job.chips;
+  cfg.pop.seed = job.seed;
+  cfg.checkpoints = job.checkpoints;
+  return run_shard_job(cfg, job.shard, job.shards, job.run, job.format == "binary", progress);
+}
 
 // --- worker mode -------------------------------------------------------------
 
 int run_worker_mode(const Options& opt) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!parse_hostport(opt.worker_spec, &host, &port)) {
+  net::WorkerConfig config;
+  if (!net::parse_hostport(opt.worker_spec, &config.host, &config.port)) {
     std::fprintf(stderr, "aropuf_fleet: bad --worker spec '%s' (want HOST:PORT)\n",
                  opt.worker_spec.c_str());
     return 2;
   }
   if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
-
-  net::WorkerConfig config;
-  config.host = host;
-  config.port = port;
   config.name = opt.worker_name;
   config.threads = opt.threads;
   config.abort_first_job = opt.abort_first_job;
 
-  // The job body: the same in-process shard runner aropuf_shard workers use,
-  // parameterized entirely from the JOB message.
-  const net::JobRunner runner = [](const net::JobMsg& job, const auto& progress) {
-    ShardStudyConfig cfg;
-    cfg.pop.chips = job.chips;
-    cfg.pop.seed = job.seed;
-    cfg.checkpoints = job.checkpoints;
-    return run_shard_job(cfg, job.shard, job.shards, job.run, job.format == "binary", progress);
-  };
-
-  const net::WorkerExit status = net::run_worker(config, runner);
+  const net::WorkerExit status = net::run_worker(config, run_study_job);
   switch (status) {
     case net::WorkerExit::kBye:
       break;
@@ -363,17 +378,61 @@ int run_worker_mode(const Options& opt) {
   return static_cast<int>(status);
 }
 
-// --- coordinator mode --------------------------------------------------------
+// --- local and coordinator modes --------------------------------------------
 
 std::string shard_manifest_path(const Options& opt, int shard) {
   return opt.out_dir + "/shard-" + std::to_string(shard) +
          (opt.format == "binary" ? ".manifest.bin" : ".manifest.json");
 }
 
-int run_coordinator_mode(const Options& opt) {
-  if (!make_output_dir(opt.out_dir)) {
-    std::fprintf(stderr, "aropuf_fleet: cannot create output directory %s\n",
-                 opt.out_dir.c_str());
+/// Serves the missing shards: over TCP (--listen), to local worker
+/// processes, or in this process (--no-fork).
+net::FleetSummary serve_jobs(const Options& opt, const char* argv0, net::CoordinatorConfig config,
+                             net::CoordinatorCallbacks callbacks) {
+  const int jobs = static_cast<int>(config.jobs.size());
+  if (opt.listen_port >= 0) {
+    config.bind_address = "0.0.0.0";
+    config.port = static_cast<std::uint16_t>(opt.listen_port);
+    net::Coordinator coordinator(std::move(config), std::move(callbacks));
+    std::printf("aropuf_fleet: coordinating %d shard job(s) on port %u\n", jobs,
+                static_cast<unsigned>(coordinator.port()));
+    std::fflush(stdout);
+    if (!opt.port_file.empty()) {
+      // The port file is the rendezvous for scripted runs (--listen 0):
+      // written atomically (tmp + rename) so a polling launcher never reads a
+      // torn value.
+      const std::string tmp = opt.port_file + ".tmp";
+      if (!write_text_file(tmp, std::to_string(coordinator.port()) + "\n") ||
+          std::rename(tmp.c_str(), opt.port_file.c_str()) != 0) {
+        throw std::runtime_error("cannot write port file " + opt.port_file);
+      }
+    }
+    return coordinator.run();
+  }
+  if (opt.no_fork) {
+    std::printf("aropuf_fleet: running %d shard job(s) in this process\n", jobs);
+    std::fflush(stdout);
+    if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
+    return net::run_in_process(config, callbacks, run_study_job);
+  }
+  net::LocalWorkers workers;
+  workers.executable = net::self_executable(argv0);
+  workers.count = opt.jobs > 0 ? opt.jobs
+                               : std::max(1, std::min<int>(opt.shards, static_cast<int>(
+                                              std::thread::hardware_concurrency())));
+  if (opt.threads > 0) workers.args = {"--threads", std::to_string(opt.threads)};
+  std::printf("aropuf_fleet: running %d shard job(s) on %d local worker(s)\n", jobs,
+              std::min(workers.count, jobs));
+  std::fflush(stdout);
+  return net::run_local(std::move(config), std::move(callbacks), workers);
+}
+
+int run_study(const Options& opt, const char* argv0) {
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "aropuf_fleet: cannot create output directory %s: %s\n",
+                 opt.out_dir.c_str(), ec.message().c_str());
     return 1;
   }
 
@@ -385,23 +444,46 @@ int run_coordinator_mode(const Options& opt) {
                                                 ? telemetry::RawSeriesPolicy::kDropAfterCheck
                                                 : telemetry::RawSeriesPolicy::kKeep;
 
+  // Streaming fold: each result is decoded and folded the moment it lands;
+  // the builder keeps only the out-of-order window, never the population.
+  // A resumed run folds the valid manifests already on disk first, and only
+  // the missing shards are dispatched.
+  telemetry::AggregateBuilder builder(policy);
+  std::vector<int> todo;
+  for (int k = 0; k < opt.shards; ++k) {
+    const std::string path = shard_manifest_path(opt, k);
+    std::string why;
+    if (opt.resume && telemetry::shard_manifest_is_valid(path, opt.run, k, opt.shards, &why)) {
+      try {
+        builder.add(telemetry::load_shard_input(path));
+        std::printf("shard %d: valid manifest found, skipping (resume)\n", k);
+        continue;
+      } catch (const std::exception& e) {
+        why = std::string("existing manifest would not fold: ") + e.what();
+      }
+    }
+    if (opt.resume) std::printf("shard %d: re-running (%s)\n", k, why.c_str());
+    todo.push_back(k);
+  }
+  const int resumed = opt.shards - static_cast<int>(todo.size());
+
   // Observability plane: one trace session (buffer-only unless the operator
   // asked for a file via AROPUF_TRACE), one fleet-wide trace id stamped on
-  // every JOB, and one FleetView folding everything the wire reports.
+  // every JOB, and one FleetView folding everything the workers report.
   if (!telemetry::trace_enabled()) telemetry::start_trace_buffered();
   telemetry::set_trace_process_label("coordinator " + opt.run);
   telemetry::set_trace_thread_label("coordinator main");
   const std::string trace_id = make_trace_id(opt.seed);
   const std::int64_t run_start_ms = now_unix_ms();
-  net::FleetView view(opt.shards, opt.run, trace_id, run_start_ms);
-  FleetHud hud(stdout_is_tty() && !opt.quiet, opt.shards, run_start_ms);
+  net::FleetView view(static_cast<int>(todo.size()), opt.run, trace_id, run_start_ms);
+  FleetHud hud(stdout_is_tty() && !opt.quiet, opt.shards, resumed, run_start_ms);
 
   net::CoordinatorConfig config;
-  config.port = static_cast<std::uint16_t>(opt.listen_port);
-  config.jobs = opt.shards;
+  config.jobs = todo;
   config.retries = opt.retries;
   config.heartbeat_timeout_s = opt.worker_timeout_s;
   config.total_timeout_s = opt.timeout_s;
+  config.job_template.kind = "study";
   config.job_template.shards = opt.shards;
   config.job_template.chips = opt.chips;
   config.job_template.seed = opt.seed;
@@ -410,28 +492,20 @@ int run_coordinator_mode(const Options& opt) {
   config.job_template.format = opt.format;
   config.job_template.trace_id = trace_id;
 
-  // Streaming fold: each RESULT is decoded and folded the moment it lands,
-  // exactly like aropuf_shard --stream — the builder keeps only the
-  // out-of-order window, never the whole population.
-  telemetry::AggregateBuilder builder(policy);
-
   net::CoordinatorCallbacks callbacks;
   callbacks.on_result = [&](int shard, std::string bytes, const std::string& worker) {
     // Persist the container first (the same bytes a disk-writing worker
-    // would have produced) so a failed run leaves evidence; a write failure
-    // is advisory, the in-memory fold below is authoritative.
+    // would have produced) so a failed run leaves evidence and --resume has
+    // something to fold; a write failure is advisory, the in-memory fold
+    // below is authoritative.
     const std::string path = shard_manifest_path(opt, shard);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (out.is_open()) out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!out.good()) {
-        std::fprintf(stderr, "aropuf_fleet: warning: could not persist shard %d to %s\n", shard,
-                     path.c_str());
-      }
+    if (!write_text_file(path, bytes)) {
+      std::fprintf(stderr, "aropuf_fleet: warning: could not persist shard %d to %s\n", shard,
+                   path.c_str());
     }
     // Throwing here fails the attempt and routes the job through the retry
     // budget — a manifest that will not fold is as fatal as a dead worker.
-    builder.add(telemetry::decode_shard_input(std::move(bytes), "tcp://" + worker));
+    builder.add(telemetry::decode_shard_input(std::move(bytes), "worker://" + worker));
     view.note_result(shard, worker, now_unix_ms());
     if (hud.enabled()) {
       hud.render(view, /*force=*/true);
@@ -441,9 +515,8 @@ int run_coordinator_mode(const Options& opt) {
       std::fflush(stdout);
     }
   };
-  // Stage transitions only — per-unit beats would flood a fleet log.  Keyed
-  // per shard; callbacks fire on the coordinator's (this) thread, so the map
-  // outlives run() without synchronization.
+  // Stage transitions only — per-unit beats would flood a log.  Callbacks
+  // fire on this thread, so the map needs no synchronization.
   std::map<int, std::string> last_stage;
   callbacks.on_heartbeat = [&](const telemetry::Heartbeat& beat, const std::string& worker) {
     view.note_heartbeat(beat, worker, now_unix_ms());
@@ -479,43 +552,22 @@ int run_coordinator_mode(const Options& opt) {
     std::fflush(stdout);
   };
 
-  std::optional<net::Coordinator> coordinator;
-  try {
-    coordinator.emplace(config, std::move(callbacks));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "aropuf_fleet: cannot listen on port %d: %s\n", opt.listen_port,
-                 e.what());
-    return 1;
-  }
-  std::printf("aropuf_fleet: coordinating %d shard job(s) on port %u\n", opt.shards,
-              static_cast<unsigned>(coordinator->port()));
-  std::fflush(stdout);
-  if (!opt.port_file.empty()) {
-    // The port file is the rendezvous for scripted runs (--listen 0): written
-    // atomically (tmp + rename) so a polling launcher never reads a torn
-    // value.
-    const std::string tmp = opt.port_file + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    out << coordinator->port() << '\n';
-    out.close();
-    if (!out.good() || std::rename(tmp.c_str(), opt.port_file.c_str()) != 0) {
-      std::fprintf(stderr, "aropuf_fleet: cannot write port file %s\n", opt.port_file.c_str());
+  net::FleetSummary summary;
+  summary.ok = true;  // nothing to dispatch when every shard was resumed
+  if (!todo.empty()) {
+    try {
+      summary = serve_jobs(opt, argv0, std::move(config), std::move(callbacks));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "aropuf_fleet: run failed: %s\n", e.what());
       return 1;
     }
   }
-
-  net::FleetSummary summary;
-  try {
-    summary = coordinator->run();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "aropuf_fleet: coordinator failed: %s\n", e.what());
-    return 1;
-  }
   hud.finish(view);
   std::printf(
-      "aropuf_fleet: %d/%d job(s) done, %d failed, %d worker(s), %d reassignment(s)%s\n",
-      summary.jobs_done, opt.shards, summary.jobs_failed, summary.workers_seen,
-      summary.reassignments, summary.timed_out ? " [timed out]" : "");
+      "aropuf_fleet: %d/%d job(s) done, %d resumed, %d failed, %d worker(s), "
+      "%d reassignment(s)%s\n",
+      summary.jobs_done, static_cast<int>(todo.size()), resumed, summary.jobs_failed,
+      summary.workers_seen, summary.reassignments, summary.timed_out ? " [timed out]" : "");
 
   // Observability artifacts are written for failed runs too — a timeline of
   // a run that went wrong is worth more than one of a run that went right.
@@ -541,6 +593,12 @@ int run_coordinator_mode(const Options& opt) {
     return 1;
   }
 
+  // The out-of-order window peak is the measurable bounded-memory claim.
+  std::printf(
+      "aropuf_fleet: folded %d/%d shards as results landed; raw-series window peak %zu of %zu "
+      "values (policy %s)\n",
+      builder.shards_added(), opt.shards, builder.peak_buffered_values(),
+      builder.reduced_values(), opt.drop_raw ? "drop_after_check" : "keep");
   telemetry::AggregateResult merged;
   try {
     merged = builder.finalize();
@@ -552,6 +610,9 @@ int run_coordinator_mode(const Options& opt) {
 
   const std::string merged_path = opt.out_dir + "/merged.manifest.json";
   if (!telemetry::write_aggregate_manifest(merged_path, merged.manifest)) {
+    // Named on stderr unconditionally (the telemetry error log can be
+    // suppressed), and fatal: a truncated aggregate must never reach the
+    // conflict scan or --check-single.
     std::fprintf(stderr, "aropuf_fleet: failed to write aggregate manifest to %s\n",
                  merged_path.c_str());
     return 1;
@@ -582,16 +643,20 @@ int main(int argc, char** argv) {
   const int usage = parse_args(argc, argv, &opt);
   if (usage != 0) return usage;
   if (!net::net_available()) {
-    std::fprintf(stderr,
-                 "aropuf_fleet: TCP fleet runs are not available on this platform; use "
-                 "aropuf_shard instead\n");
-    return 1;
+    if (opt.listen_port >= 0 || !opt.worker_spec.empty()) {
+      std::fprintf(stderr,
+                   "aropuf_fleet: TCP fleet runs are not available on this platform; run "
+                   "locally (shards then run in-process)\n");
+      return 1;
+    }
+    opt.no_fork = true;
   }
-  // Coordinator and workers each profile their own process; worker "prof.*"
-  // metrics additionally travel home inside METRICS snapshots and surface
-  // in the FleetView Prometheus exposition.
+  // Every process profiles itself (AROPUF_PROF is inherited by local
+  // workers; AROPUF_PROF_RESOURCE takes a %p pid placeholder so they do not
+  // clobber one timeline).  Worker "prof.*" metrics also travel home inside
+  // METRICS snapshots and surface in the fleet Prometheus exposition.
   telemetry::start_process_profile();
-  const int rc = !opt.worker_spec.empty() ? run_worker_mode(opt) : run_coordinator_mode(opt);
+  const int rc = !opt.worker_spec.empty() ? run_worker_mode(opt) : run_study(opt, argv[0]);
   const bool prof_ok = telemetry::stop_process_profile();
   return rc != 0 ? rc : (prof_ok ? 0 : 1);
 }

@@ -4,7 +4,7 @@
 // comments and terminals.
 //
 // The report derives everything from the aggregate manifest written by
-// aropuf_shard; it never re-runs any simulation.  Sections:
+// aropuf_fleet; it never re-runs any simulation.  Sections:
 //   * headline — per-design uniqueness (vs the paper's 49.67 %), end-of-life
 //     flip rates, and the ECC/area comparison from the "study" section;
 //   * shard health — per-shard wall time, thread count, kernel backend, and
