@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulation's hot kernels.
 //
 // These guard the throughput that makes the Monte Carlo studies cheap:
-// RO frequency evaluation, full-chip response evaluation, BCH decode,
-// population uniqueness, and the parallel Monte Carlo engine's scaling
-// (BM_AgingSeries200 at 1/2/8 threads is the serial-vs-parallel speedup
-// record for run_aging_series; target >= 4x at 8 threads on 8 cores).
+// RO frequency evaluation, full-chip response evaluation, BCH decode, the
+// E7 minimum-area ECC search, population uniqueness, and the parallel Monte
+// Carlo engine's scaling (BM_AgingSeries200 at 1/2/8 threads is the
+// serial-vs-parallel speedup record for run_aging_series; target >= 4x at
+// 8 threads on 8 cores).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "auth/auth_service.hpp"
 #include "circuit/delay_kernel.hpp"
 #include "ecc/bch.hpp"
+#include "ecc/code_search.hpp"
 #include "fold_bench_util.hpp"
 #include "keygen/sha256.hpp"
 #include "metrics/uniqueness.hpp"
@@ -149,6 +151,19 @@ void BM_BchDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BchDecode)->Arg(4)->Arg(18);
+
+/// One E7 minimum-area ECC search at a raw BER of state.range(0) percent
+/// (36: the conventional design's provisioning BER): the whole (r, m, t)
+/// grid, BCH dimension lookups and one binomial tail per step.  E7 and E10
+/// run it twice each per reproduction.
+void BM_FindMinAreaScheme(benchmark::State& state) {
+  const CodeSearchConstraints constraints;
+  const double raw_ber = static_cast<double>(state.range(0)) / 100.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(find_min_area_scheme(tech(), raw_ber, constraints));
+  }
+}
+BENCHMARK(BM_FindMinAreaScheme)->Arg(36)->Unit(benchmark::kMillisecond);
 
 void BM_Sha256_1KiB(benchmark::State& state) {
   std::vector<std::uint8_t> data(1024);

@@ -20,7 +20,9 @@ floors/ceilings (min_ipc, max_cache_miss_rate) checked by `counters` and by
 differently: an IPC collapse with flat wall time means the machine got
 faster while the code got worse, which ratio gating alone cannot see.  When
 the counter fields are absent (no PMU, AROPUF_PROF off) the checks skip with
-a note instead of failing — CI runners without perf access stay green.
+a note instead of failing — CI runners without perf access stay green — and
+the closing summary line counts them, per gate kind, next to the checks that
+ran, so a gate that never fires stays visible.
 
 Profiling-overhead gating: baseline.json's "overheads" section pins the
 cost of the observability layer itself — `overhead` compares a profiled run
@@ -40,7 +42,7 @@ Usage:
 Baseline refresh procedure (after an intentional perf change):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
   AROPUF_THREADS=1 build/bench/bench_micro --benchmark_format=json \
-      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|Sha256|FoldShard|AuthVerify)' \
+      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|Sha256|FoldShard|AuthVerify|FindMinAreaScheme)' \
       --benchmark_min_time=0.2 > results.json
   python3 scripts/perf_gate.py update results.json
 then commit bench/baseline.json with a note on why the numbers moved.
@@ -57,6 +59,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline.json"
@@ -142,7 +146,39 @@ def load_baseline(baseline_path: Path) -> dict:
         return json.load(fh)
 
 
-def compare(ratios: dict[str, float], baseline: dict, *, quiet: bool = False) -> list[str]:
+GATE_KINDS = ("timing", "speedup", "hw-counter")
+NO_COUNTERS = "no PMU or AROPUF_PROF off"
+
+
+class GateTally:
+    """Per kind (GATE_KINDS), how many gate checks ran and how many skipped.
+
+    A check that cannot run here (hw counters without a PMU) is counted as
+    skipped with its reason, so a gate that never fires shows in the summary
+    line instead of passing silently.  Counting changes no verdict.
+    """
+
+    def __init__(self) -> None:
+        self.ran: Counter[str] = Counter()
+        self.skipped: dict[str, Counter[str]] = {kind: Counter() for kind in GATE_KINDS}
+        self.notes: list[str] = []
+
+    def skip(self, kind: str, reason: str, note: str, count: int = 1) -> None:
+        self.skipped[kind][reason] += count
+        self.notes.append(note)
+
+    def summary(self) -> str:
+        ran = ", ".join(f"{self.ran[kind]} {kind}" for kind in GATE_KINDS)
+        parts = [f"checks ran: {ran}"]
+        for kind in GATE_KINDS:
+            for reason, count in sorted(self.skipped[kind].items()):
+                plural = "check" if count == 1 else "checks"
+                parts.append(f"{count} {kind} {plural} skipped: {reason}")
+        return "; ".join(parts)
+
+
+def compare(ratios: dict[str, float], baseline: dict, *, tally: GateTally,
+            quiet: bool = False) -> list[str]:
     """Returns the list of regression messages (empty == gate passes)."""
     threshold = float(baseline.get("threshold", DEFAULT_THRESHOLD))
     failures: list[str] = []
@@ -150,6 +186,7 @@ def compare(ratios: dict[str, float], baseline: dict, *, quiet: bool = False) ->
         if name not in ratios:
             failures.append(f"{name}: missing from results (gated benchmark not run)")
             continue
+        tally.ran["timing"] += 1
         ratio = ratios[name]
         change = ratio / base_ratio - 1.0
         status = "OK"
@@ -162,11 +199,11 @@ def compare(ratios: dict[str, float], baseline: dict, *, quiet: bool = False) ->
             status = "faster (consider refreshing the baseline)"
         if not quiet:
             print(f"  {name}: {ratio:.4g} (baseline {base_ratio:.4g}, {change:+.1%}) {status}")
-    failures += compare_speedups(ratios, baseline, quiet=quiet)
+    failures += compare_speedups(ratios, baseline, quiet=quiet, tally=tally)
     return failures
 
 
-def compare_speedups(ratios: dict[str, float], baseline: dict, *,
+def compare_speedups(ratios: dict[str, float], baseline: dict, *, tally: GateTally,
                      quiet: bool = False) -> list[str]:
     """Minimum-speedup floors: pairs where `fast` must beat `slow` by >= min.
 
@@ -182,6 +219,7 @@ def compare_speedups(ratios: dict[str, float], baseline: dict, *,
         if missing:
             failures.append(f"speedup {label}: benchmark(s) {missing} missing from results")
             continue
+        tally.ran["speedup"] += 1
         speedup = ratios[slow] / ratios[fast]
         status = "OK"
         if speedup < floor:
@@ -194,32 +232,41 @@ def compare_speedups(ratios: dict[str, float], baseline: dict, *,
     return failures
 
 
+def hw_checks(spec: dict) -> list[tuple[str, float, str]]:
+    """The (counter field, bound, op) checks one hw_counters entry asks for."""
+    checks = []
+    if "min_ipc" in spec:
+        checks.append(("ipc", float(spec["min_ipc"]), ">="))
+    if "max_cache_miss_rate" in spec:
+        checks.append(("cache_miss_rate", float(spec["max_cache_miss_rate"]), "<="))
+    return checks
+
+
 def compare_counters(counters: dict[str, dict[str, float]], baseline: dict, *,
-                     quiet: bool = False) -> tuple[list[str], list[str]]:
-    """Hardware-counter floors/ceilings; returns (failures, skip notes).
+                     tally: GateTally, quiet: bool = False) -> list[str]:
+    """Hardware-counter floors/ceilings; returns the failures.
 
     A missing counter column is a *skip*, not a failure: perf_event access
     is a runner property (paranoid level, container PMU passthrough), and a
     gate that fails wherever counters are unavailable would just get
-    disabled.  The skip note keeps the absence visible in the CI log.
+    disabled.  The tally's skip count and note keep the absence visible in
+    the CI log.
     """
     failures: list[str] = []
-    notes: list[str] = []
     for name, spec in sorted(baseline.get("hw_counters", {}).items()):
+        checks = hw_checks(spec)
         row = counters.get(name)
         if row is None:
-            notes.append(f"hw_counters {name}: no counter columns in results "
-                         "(no PMU or AROPUF_PROF off) — skipped")
+            tally.skip("hw-counter", NO_COUNTERS,
+                       f"hw_counters {name}: no counter columns in results "
+                       f"({NO_COUNTERS}) — skipped", count=len(checks))
             continue
-        checks = []
-        if "min_ipc" in spec:
-            checks.append(("ipc", float(spec["min_ipc"]), ">="))
-        if "max_cache_miss_rate" in spec:
-            checks.append(("cache_miss_rate", float(spec["max_cache_miss_rate"]), "<="))
         for field, bound, op in checks:
             if field not in row:
-                notes.append(f"hw_counters {name}: field '{field}' absent — skipped")
+                tally.skip("hw-counter", "counter field absent",
+                           f"hw_counters {name}: field '{field}' absent — skipped")
                 continue
+            tally.ran["hw-counter"] += 1
             value = row[field]
             bad = value < bound if op == ">=" else value > bound
             status = "VIOLATION" if bad else "OK"
@@ -229,7 +276,7 @@ def compare_counters(counters: dict[str, dict[str, float]], baseline: dict, *,
             if not quiet:
                 print(f"  hw {name}: {field} = {value:.4g} "
                       f"(bound {op} {bound:.4g}) {status}")
-    return failures, notes
+    return failures
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -238,19 +285,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"perf gate: {args.results} vs {args.baseline} "
           f"(threshold +{float(baseline.get('threshold', DEFAULT_THRESHOLD)):.0%}, "
           f"normalizer {NORMALIZER})")
-    failures = compare(ratios, baseline)
-    counter_failures, notes = compare_counters(load_counters(args.results), baseline)
-    failures += counter_failures
-    for note in notes:
+    tally = GateTally()
+    failures = compare(ratios, baseline, tally=tally)
+    failures += compare_counters(load_counters(args.results), baseline, tally=tally)
+    for note in tally.notes:
         print(f"  note: {note}")
     if failures:
-        print("\nperf gate FAILED:")
+        print(f"\nperf gate FAILED ({tally.summary()}):")
         for failure in failures:
             print(f"  {failure}")
         print("\nIf the slowdown is intentional, refresh the baseline "
               "(see scripts/perf_gate.py docstring) and commit bench/baseline.json.")
         return 1
-    print("perf gate passed")
+    print(f"perf gate passed: {tally.summary()}")
     return 0
 
 
@@ -298,15 +345,16 @@ def cmd_counters(args: argparse.Namespace) -> int:
         return 0
     counters = load_counters(args.results)
     print(f"hw-counter gate: {args.results} vs {args.baseline}")
-    failures, notes = compare_counters(counters, baseline)
-    for note in notes:
+    tally = GateTally()
+    failures = compare_counters(counters, baseline, tally=tally)
+    for note in tally.notes:
         print(f"  note: {note}")
     if failures:
-        print("\nhw-counter gate FAILED:")
+        print(f"\nhw-counter gate FAILED ({tally.summary()}):")
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print("hw-counter gate passed")
+    print(f"hw-counter gate passed: {tally.summary()}")
     return 0
 
 
@@ -354,20 +402,46 @@ def cmd_self_test(args: argparse.Namespace) -> int:
     gated = [name for name in baseline["benchmarks"] if name in ratios]
     if not gated:
         sys.exit("error: no gated benchmark present in results")
-    clean = compare(ratios, baseline, quiet=True)
+    clean = compare(ratios, baseline, tally=GateTally(), quiet=True)
     if clean:
         sys.exit("error: self-test needs a passing run to doctor, but the gate "
                  f"already fails: {clean}")
     victim = gated[0]
     doctored = dict(ratios)
     doctored[victim] *= 2.0
-    failures = compare(doctored, baseline, quiet=True)
+    failures = compare(doctored, baseline, tally=GateTally(), quiet=True)
     if not failures:
         sys.exit(f"error: gate did NOT flag a synthetic 2x slowdown of {victim} — "
                  "the regression check is broken")
+    skipped = counter_skips_without_columns(args.results, baseline)
     print(f"self-test passed: synthetic 2x slowdown of {victim} was flagged "
-          f"({len(failures)} failure(s)) and the undoctored run passes")
+          f"({len(failures)} failure(s)) and the undoctored run passes; "
+          f"without counter columns all {skipped} hw-counter checks count as skipped")
     return 0
+
+
+def counter_skips_without_columns(results_path: Path, baseline: dict) -> int:
+    """Canary for the skip count: strip every counter column from the results
+    and assert each hw_counters check is counted as skipped, none as ran."""
+    with results_path.open() as fh:
+        data = json.load(fh)
+    for bench in data.get("benchmarks", []):
+        for field in COUNTER_FIELDS:
+            bench.pop(field, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        stripped = Path(tmp) / "no_counters.json"
+        stripped.write_text(json.dumps(data))
+        tally = GateTally()
+        failures = compare_counters(load_counters(stripped), baseline, quiet=True, tally=tally)
+    expected = sum(len(hw_checks(spec)) for spec in baseline.get("hw_counters", {}).values())
+    skipped = tally.skipped["hw-counter"][NO_COUNTERS]
+    if failures or tally.ran["hw-counter"] != 0 or skipped != expected:
+        sys.exit(f"error: without counter columns the tally reads {tally.summary()!r} "
+                 f"(failures {failures}); expected all {expected} hw-counter checks "
+                 "skipped and none ran")
+    if expected and f"{expected} hw-counter check" not in tally.summary():
+        sys.exit(f"error: summary {tally.summary()!r} does not report the skipped checks")
+    return skipped
 
 
 def main() -> int:

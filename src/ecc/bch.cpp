@@ -1,7 +1,7 @@
 #include "ecc/bch.hpp"
 
 #include <algorithm>
-#include <set>
+#include <array>
 
 #include "common/check.hpp"
 
@@ -9,47 +9,66 @@ namespace aropuf {
 
 namespace {
 
-/// Cyclotomic coset of `i` modulo n = 2^m − 1 (the exponents of the
-/// conjugates alpha^(i·2^j)).
-std::set<std::uint32_t> cyclotomic_coset(std::uint32_t i, std::uint32_t n) {
-  std::set<std::uint32_t> coset;
-  std::uint32_t x = i % n;
-  while (coset.insert(x).second) {
-    x = static_cast<std::uint32_t>((static_cast<std::uint64_t>(x) * 2) % n);
-  }
-  return coset;
-}
+constexpr int kMinM = 3;
+constexpr int kMaxM = 14;
 
-/// Exponents of all conjugate classes covering alpha^1 .. alpha^2t.
-std::set<std::uint32_t> generator_root_exponents(int t, std::uint32_t n) {
-  std::set<std::uint32_t> roots;
-  for (std::uint32_t i = 1; i <= 2U * static_cast<std::uint32_t>(t); ++i) {
-    const auto coset = cyclotomic_coset(i, n);
-    roots.insert(coset.begin(), coset.end());
+/// Root exponents of the t-error-correcting generator: the union of the
+/// cyclotomic cosets modulo n = 2^m − 1 (the exponents of the conjugates
+/// alpha^(i·2^j)) of i = 1 .. 2t, in walk order.  With `k_by_t`, the walk
+/// appends k(s) = n − |roots| once 1 .. 2s are covered, for every s <= t
+/// whose code is not void.  The walk stops early once every exponent, 0
+/// included, is a root.
+std::vector<std::uint32_t> generator_root_exponents(std::uint32_t n, std::uint64_t t,
+                                                    std::vector<std::uint32_t>* k_by_t = nullptr) {
+  std::vector<std::uint32_t> roots;
+  std::vector<bool> is_root(n, false);
+  for (std::uint64_t i = 1; i <= 2 * t && roots.size() < n; ++i) {
+    for (auto x = static_cast<std::uint32_t>(i % n); !is_root[x]; x = (2 * x) % n) {
+      is_root[x] = true;
+      roots.push_back(x);
+    }
+    if (k_by_t != nullptr && i % 2 == 0 && roots.size() < n) {
+      k_by_t->push_back(n - static_cast<std::uint32_t>(roots.size()));
+    }
   }
   return roots;
+}
+
+/// k(t) = n − |roots| for every m in [3, 14] and every non-void t (index
+/// t − 1), from one coset walk per field.  Roots only grow with t, so every
+/// t past a table's end is void.  Built once, on first use; the C++
+/// function-local static makes that race-free from the code search's pool.
+const std::vector<std::uint32_t>& dimension_table(int m) {
+  static const auto tables = [] {
+    std::array<std::vector<std::uint32_t>, kMaxM - kMinM + 1> by_m;
+    for (int field_m = kMinM; field_m <= kMaxM; ++field_m) {
+      const std::uint32_t n = (1U << field_m) - 1;
+      generator_root_exponents(n, n, &by_m[static_cast<std::size_t>(field_m - kMinM)]);
+    }
+    return by_m;
+  }();
+  return tables[static_cast<std::size_t>(m - kMinM)];
 }
 
 }  // namespace
 
 std::size_t BchCode::dimension(int m, int t) {
-  ARO_REQUIRE(m >= 3 && m <= 14, "BCH supports m in [3, 14]");
+  ARO_REQUIRE(m >= kMinM && m <= kMaxM, "BCH supports m in [3, 14]");
   ARO_REQUIRE(t >= 1, "BCH needs t >= 1");
-  const std::uint32_t n = (1U << m) - 1;
-  const auto roots = generator_root_exponents(t, n);
-  if (roots.size() >= n) return 0;
-  return n - roots.size();
+  const auto& k = dimension_table(m);
+  return static_cast<std::size_t>(t) <= k.size() ? k[static_cast<std::size_t>(t) - 1] : 0;
 }
 
 BchCode::BchCode(int m, int t) : field_(m), t_(t), n_((1U << m) - 1) {
   ARO_REQUIRE(t >= 1, "BCH needs t >= 1");
   const auto n32 = static_cast<std::uint32_t>(n_);
-  const auto roots = generator_root_exponents(t, n32);
+  const auto roots = generator_root_exponents(n32, static_cast<std::uint64_t>(t));
   ARO_REQUIRE(roots.size() < n_, "design distance too large: empty code");
   k_ = n_ - roots.size();
 
   // g(x) = prod over root exponents e of (x - alpha^e), computed over
-  // GF(2^m); the product of full conjugate classes has binary coefficients.
+  // GF(2^m); the product of full conjugate classes has binary coefficients
+  // (and, being an exact product, does not depend on the roots' order).
   std::vector<std::uint32_t> g{1};
   g.reserve(roots.size() + 1);
   for (const std::uint32_t e : roots) {

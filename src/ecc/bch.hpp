@@ -49,8 +49,9 @@ class BchCode {
   /// True if `word` is a codeword (all syndromes zero).
   [[nodiscard]] bool is_codeword(const BitVector& word) const;
 
-  /// Dimension k of BchCode(m, t) without building tables twice; returns 0
-  /// if the code does not exist (deg(g) >= n).  Used by the code search.
+  /// Dimension k of BchCode(m, t) without building the code: one lookup in
+  /// a per-field k(t) table built once per process.  Returns 0 if the code
+  /// does not exist (deg(g) >= n).  Used by the code search.
   [[nodiscard]] static std::size_t dimension(int m, int t);
 
  private:

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -41,10 +42,73 @@ TEST(BchCodeTest, ClassicParameterTable) {
   EXPECT_EQ(BchCode(8, 2).k(), 239U);  // (255, 239, 2)
 }
 
+/// Reference for the dimension table: an independent std::set construction.
+/// Cyclotomic coset of `i` modulo n = 2^m − 1 (the exponents of alpha^(i·2^j)).
+std::set<std::uint32_t> reference_coset(std::uint32_t i, std::uint32_t n) {
+  std::set<std::uint32_t> coset;
+  std::uint32_t x = i % n;
+  while (coset.insert(x).second) {
+    x = static_cast<std::uint32_t>((static_cast<std::uint64_t>(x) * 2) % n);
+  }
+  return coset;
+}
+
+/// Reference root set of BchCode(m, t): the union of the cosets of 1 .. 2t.
+std::set<std::uint32_t> reference_roots(int t, std::uint32_t n) {
+  std::set<std::uint32_t> roots;
+  for (std::uint32_t i = 1; i <= 2U * static_cast<std::uint32_t>(t); ++i) {
+    const auto coset = reference_coset(i, n);
+    roots.insert(coset.begin(), coset.end());
+  }
+  return roots;
+}
+
+TEST(BchCodeTest, DimensionMatchesSetReferenceExhaustively) {
+  // Every field, every t up to a few steps past the first void one.  The
+  // reference root set grows one t at a time (the union of the cosets of
+  // 1 .. 2t), which keeps m = 14's ~8k values of t cheap.
+  for (int m = 3; m <= 14; ++m) {
+    const std::uint32_t n = (1U << m) - 1;
+    std::set<std::uint32_t> roots;
+    int first_void = 0;
+    for (int t = 1; first_void == 0 || t <= first_void + 3; ++t) {
+      for (const std::uint32_t i : {2U * t - 1, 2U * t}) {
+        const auto coset = reference_coset(i, n);
+        roots.insert(coset.begin(), coset.end());
+      }
+      const std::size_t expected = roots.size() >= n ? 0 : n - roots.size();
+      if (expected == 0 && first_void == 0) first_void = t;
+      ASSERT_EQ(BchCode::dimension(m, t), expected) << "m=" << m << " t=" << t;
+    }
+    EXPECT_EQ(first_void, (n + 1) / 2) << "m=" << m;  // 2t > n pulls in exponent 0
+  }
+}
+
 TEST(BchCodeTest, DimensionHelperMatchesConstruction) {
-  for (int m = 4; m <= 8; ++m) {
-    for (int t = 1; t <= 5; ++t) {
+  // The code search's whole grid (CodeSearchConstraints' m options, t <= 120).
+  for (int m = 7; m <= 10; ++m) {
+    for (int t = 1; t <= 120 && BchCode::dimension(m, t) > 0; ++t) {
       EXPECT_EQ(BchCode::dimension(m, t), BchCode(m, t).k()) << "m=" << m << " t=" << t;
+    }
+  }
+}
+
+TEST(BchCodeTest, GeneratorVanishesOnSetReferenceRoots) {
+  // g is monic of degree |roots| and zero on every reference root, so it is
+  // exactly the product of (x − alpha^e) whatever order the roots came in.
+  for (const auto& [m, t] : {std::pair{4, 3}, std::pair{6, 5}, std::pair{7, 10},
+                             std::pair{8, 18}, std::pair{9, 40}, std::pair{10, 120}}) {
+    const BchCode code(m, t);
+    const GF2m field(m);
+    const auto roots = reference_roots(t, static_cast<std::uint32_t>(code.n()));
+    ASSERT_EQ(code.generator().size(), roots.size() + 1) << "m=" << m << " t=" << t;
+    for (const std::uint32_t e : roots) {
+      const std::uint32_t x = field.alpha_pow(e);
+      std::uint32_t value = 0;  // Horner over the binary coefficients
+      for (std::size_t i = code.generator().size(); i-- > 0;) {
+        value = field.mul(value, x) ^ (code.generator().get(i) ? 1U : 0U);
+      }
+      EXPECT_EQ(value, 0U) << "m=" << m << " t=" << t << " e=" << e;
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "sim/parallel.hpp"
+
 namespace aropuf {
 namespace {
 
@@ -96,6 +98,38 @@ TEST_F(CodeSearchTest, ReturnsNulloptWhenImpossible) {
   cramped.bch_m_options = {7};
   cramped.max_bch_t = 2;
   EXPECT_FALSE(find_min_area_scheme(tech_, 0.30, cramped).has_value());
+}
+
+TEST_F(CodeSearchTest, GoldenSchemesAreBitIdenticalAtAnyThreadCount) {
+  // The E7/E10 regime, pinned as hex-float literals: the dimension lookup
+  // and the search must reproduce these schemes to the last bit.
+  struct Golden {
+    double ber;
+    int r, m, t;
+    std::size_t raw_bits;
+    double area_ge, key_failure;
+  };
+  const Golden golden[] = {
+      {0x1.70a3d70a3d70ap-2, 61, 8, 15, 15555, 0x1.52ed4p+19, 0x1.b879830d6ab6cp-23},  // 0.36
+      {0x1.999999999999ap-3, 9, 8, 18, 2295, 0x1.b6a3p+16, 0x1.f91ca65ee9c06p-21},     // 0.20
+      {0x1.c28f5c28f5c29p-4, 5, 7, 10, 1270, 0x1.e2ffp+15, 0x1.fd3b6e335f771p-22},     // 0.11
+      {0x1.47ae147ae147bp-4, 3, 8, 18, 765, 0x1.5f28p+15, 0x1.50c3040f4e9b6p-22},      // 0.08
+  };
+  for (const int threads : {1, 2, 8}) {
+    ParallelExecutor::set_global_thread_count(threads);
+    for (const Golden& g : golden) {
+      SCOPED_TRACE(::testing::Message() << "ber " << g.ber << " threads " << threads);
+      const auto result = find_min_area_scheme(tech_, g.ber, constraints_);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->scheme.repetition, g.r);
+      EXPECT_EQ(result->scheme.bch_m, g.m);
+      EXPECT_EQ(result->scheme.bch_t, g.t);
+      EXPECT_EQ(result->scheme.raw_bits(), g.raw_bits);
+      EXPECT_EQ(result->area.total_ge(), g.area_ge);
+      EXPECT_EQ(result->key_failure, g.key_failure);
+    }
+  }
+  ParallelExecutor::set_global_thread_count(0);
 }
 
 TEST_F(CodeSearchTest, RejectsBadInputs) {
