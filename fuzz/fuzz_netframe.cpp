@@ -30,6 +30,9 @@ void consume(const aropuf::net::Frame& frame) {
     case FrameType::kJob:
       (void)job_from_json(doc);
       break;
+    case FrameType::kHeartbeat:
+      (void)heartbeat_from_json(doc);
+      break;
     case FrameType::kError:
       (void)error_from_json(doc);
       break;
@@ -37,7 +40,7 @@ void consume(const aropuf::net::Frame& frame) {
       (void)metrics_from_json(doc);
       break;
     default:
-      break;  // HEARTBEAT schemas belong to telemetry/progress
+      break;  // RESULT and BYE returned above
   }
 }
 

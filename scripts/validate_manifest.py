@@ -340,84 +340,96 @@ def validate_aggregate(path: Path) -> list[str]:
     return problems
 
 
+class WireReject(Exception):
+    """A container-level defect; the message is the reported problem."""
+
+
+class WireReader:
+    """Bounds-checked little-endian reader shared by the ARPB and ARPS decoders.
+
+    Both formats open with a 4-byte magic, u16 version 1 and u16 reserved
+    zero, then fixed-layout fields (common/wire.hpp is the C++ side).
+    """
+
+    def __init__(self, wire: bytes):
+        self.wire = wire
+        self.pos = 0
+
+    def remaining(self) -> int:
+        return len(self.wire) - self.pos
+
+    def need(self, n: int, what: str) -> None:
+        if self.remaining() < n:
+            raise WireReject(f"truncated inside {what}")
+
+    def take(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        self.pos += n
+        return self.wire[self.pos - n:self.pos]
+
+    def unpack(self, layout: str, what: str) -> tuple:
+        return struct.unpack("<" + layout, self.take(struct.calcsize("<" + layout), what))
+
+    def header(self, magic: bytes, size: int, what: str, kind: str) -> None:
+        self.need(size, what)
+        got, version, reserved = self.unpack("4sHH", what)
+        if got != magic:
+            raise WireReject(f"bad magic {got!r} (expected {magic!r})")
+        if version != 1:
+            raise WireReject(f"unsupported {kind} version {version}")
+        if reserved != 0:
+            raise WireReject("reserved header bytes are nonzero")
+
+
 # ARPB binary shard-manifest container (telemetry/binfmt.hpp).  This is an
 # independent Python decode of the same wire layout, so a C++ encoder bug
 # that its own decoder happens to tolerate still fails CI.
-BINFMT_MAGIC = b"ARPB"
-BINFMT_VERSION = 1
 BINFMT_MAX_NAME = 256
 BINFMT_MAX_HIST_BINS = 1 << 20
 SERIES_HEADER_KEYS = ("offset", "total", "hist_lo", "hist_hi", "hist_bins")
 
 
 def validate_binary(path: Path) -> list[str]:
+    problems = []
+    series = {}
     try:
-        wire = path.read_bytes()
+        r = WireReader(path.read_bytes())
+        r.header(b"ARPB", 16, "header", "format")
+        (meta_len,) = r.unpack("Q", "header")
+        try:
+            metadata = json.loads(r.take(meta_len, "metadata document"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise WireReject(f"metadata is not valid JSON: {e}") from e
+        problems = validate_manifest_doc(metadata, path)
+        (series_count,) = r.unpack("I", "series count")
+        for i in range(series_count):
+            (name_len,) = r.unpack("H", f"series[{i}] name length")
+            if not 1 <= name_len <= BINFMT_MAX_NAME:
+                raise WireReject(f"series[{i}] name length {name_len} out of range")
+            name = r.take(name_len, f"series[{i}] name").decode("utf-8", errors="replace")
+            if name in series:
+                raise WireReject(f"duplicate series '{name}'")
+            offset, total, hist_lo, hist_hi, hist_bins, count = r.unpack(
+                "QQddIQ", f"series '{name}' header")
+            if not 1 <= hist_bins <= BINFMT_MAX_HIST_BINS:
+                problems.append(fail(path, f"series '{name}' hist_bins {hist_bins} out of range"))
+            if r.take(-r.pos % 8, f"series '{name}' alignment padding").strip(b"\0"):
+                raise WireReject(f"series '{name}' has nonzero alignment padding")
+            if count > r.remaining() // 8:
+                raise WireReject(f"series '{name}' declares {count} values "
+                                 "but they do not fit in the file")
+            if offset > total or count > total - offset:
+                problems.append(fail(path, f"series '{name}' slice [{offset}, +{count}) "
+                                           f"exceeds its total {total}"))
+            series[name] = {"offset": offset, "total": total, "hist_lo": hist_lo,
+                            "hist_hi": hist_hi, "hist_bins": hist_bins}
+            r.take(count * 8, f"series '{name}' values")
     except OSError as e:
         return [fail(path, f"unreadable: {e}")]
-
-    def truncated(what: str) -> list[str]:
-        return [fail(path, f"truncated inside {what}")]
-
-    if len(wire) < 16:
-        return truncated("header")
-    if wire[:4] != BINFMT_MAGIC:
-        return [fail(path, f"bad magic {wire[:4]!r} (expected {BINFMT_MAGIC!r})")]
-    version, reserved, meta_len = struct.unpack_from("<HHQ", wire, 4)
-    if version != BINFMT_VERSION:
-        return [fail(path, f"unsupported format version {version}")]
-    if reserved != 0:
-        return [fail(path, "reserved header bytes are nonzero")]
-    pos = 16
-    if len(wire) - pos < meta_len:
-        return truncated("metadata document")
-    try:
-        metadata = json.loads(wire[pos:pos + meta_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        return [fail(path, f"metadata is not valid JSON: {e}")]
-    pos += meta_len
-    problems = validate_manifest_doc(metadata, path)
-
-    if len(wire) - pos < 4:
-        return problems + truncated("series count")
-    (series_count,) = struct.unpack_from("<I", wire, pos)
-    pos += 4
-    series = {}
-    for i in range(series_count):
-        if len(wire) - pos < 2:
-            return problems + truncated(f"series[{i}] name length")
-        (name_len,) = struct.unpack_from("<H", wire, pos)
-        pos += 2
-        if not 1 <= name_len <= BINFMT_MAX_NAME:
-            return problems + [fail(path, f"series[{i}] name length {name_len} out of range")]
-        if len(wire) - pos < name_len:
-            return problems + truncated(f"series[{i}] name")
-        name = wire[pos:pos + name_len].decode("utf-8", errors="replace")
-        pos += name_len
-        if name in series:
-            return problems + [fail(path, f"duplicate series '{name}'")]
-        if len(wire) - pos < 44:
-            return problems + truncated(f"series '{name}' header")
-        offset, total, hist_lo, hist_hi, hist_bins, count = struct.unpack_from(
-            "<QQddIQ", wire, pos)
-        pos += 44
-        if not 1 <= hist_bins <= BINFMT_MAX_HIST_BINS:
-            problems.append(fail(path, f"series '{name}' hist_bins {hist_bins} out of range"))
-        pad = (-pos) % 8
-        if wire[pos:pos + pad] != b"\x00" * pad:
-            return problems + [fail(path, f"series '{name}' has nonzero alignment padding")]
-        pos += pad
-        if count > (len(wire) - pos) // 8:
-            return problems + [fail(path, f"series '{name}' declares {count} values "
-                                          "but they do not fit in the file")]
-        if offset > total or count > total - offset:
-            problems.append(fail(path, f"series '{name}' slice [{offset}, +{count}) "
-                                       f"exceeds its total {total}"))
-        series[name] = {"offset": offset, "total": total, "hist_lo": hist_lo,
-                        "hist_hi": hist_hi, "hist_bins": hist_bins}
-        pos += count * 8
-    if pos != len(wire):
-        problems.append(fail(path, f"{len(wire) - pos} trailing bytes after the last series"))
+    except WireReject as e:
+        return problems + [fail(path, str(e))]
+    if r.remaining():
+        problems.append(fail(path, f"{r.remaining()} trailing bytes after the last series"))
 
     # The metadata's results.samples section and the series blocks must
     # describe the same payload.
@@ -453,20 +465,14 @@ def validate_auth_store(path: Path) -> list[str]:
     increasing device index.
     """
     try:
-        wire = path.read_bytes()
+        r = WireReader(path.read_bytes())
+        r.header(b"ARPS", 40, "the 40-byte header", "store")
+        device_count, response_bits, helper_bits, tag_bytes, model, fleet_seed = r.unpack(
+            "QIIIIQ", "the 40-byte header")
     except OSError as e:
         return [fail(path, f"unreadable: {e}")]
-
-    if len(wire) < 40:
-        return [fail(path, "truncated inside the 40-byte header")]
-    if wire[:4] != b"ARPS":
-        return [fail(path, f"bad magic {wire[:4]!r} (expected b'ARPS')")]
-    version, reserved, device_count, response_bits, helper_bits, tag_bytes, model, \
-        fleet_seed = struct.unpack_from("<HHQIIIIQ", wire, 4)
-    if version != 1:
-        return [fail(path, f"unsupported store version {version}")]
-    if reserved != 0:
-        return [fail(path, "reserved header bytes are nonzero")]
+    except WireReject as e:
+        return [fail(path, str(e))]
     problems = []
     if tag_bytes != 32:
         problems.append(fail(path, f"tag_bytes {tag_bytes} (expected 32)"))
@@ -476,14 +482,13 @@ def validate_auth_store(path: Path) -> list[str]:
         problems.append(fail(path, f"unreasonable bit widths R={response_bits} "
                                    f"H={helper_bits}"))
     stride = (response_bits + 7) // 8 + (helper_bits + 7) // 8 + tag_bytes
-    expected = 40 + device_count * (8 + stride)
-    if len(wire) != expected:
-        return problems + [fail(path, f"file is {len(wire)} bytes but the header "
-                                      f"implies {expected} "
+    if r.remaining() != device_count * (8 + stride):
+        return problems + [fail(path, f"file is {len(r.wire)} bytes but the header "
+                                      f"implies {40 + device_count * (8 + stride)} "
                                       f"(N={device_count}, stride={stride})")]
     prev = -1
-    for i in range(device_count):
-        (device_id,) = struct.unpack_from("<Q", wire, 40 + 8 * i)
+    for i, (device_id,) in enumerate(struct.iter_unpack("<Q", r.take(8 * device_count,
+                                                                     "device index"))):
         if device_id <= prev:
             problems.append(fail(path, f"device index not strictly increasing "
                                        f"at entry {i} ({device_id:#x} after {prev:#x})"))

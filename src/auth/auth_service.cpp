@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "puf/ro_puf.hpp"
 #include "sim/parallel.hpp"
 
@@ -16,14 +17,8 @@ namespace {
 /// Fills `bits` bits from 64-bit engine draws (LSB-first, matching the
 /// packed layout) — one draw per word instead of one Bernoulli per bit.
 BitVector random_bits(Xoshiro256& rng, std::uint32_t bits) {
-  std::vector<std::uint8_t> bytes((bits + 7) / 8, 0);
-  for (std::size_t off = 0; off < bytes.size(); off += 8) {
-    const std::uint64_t word = rng();
-    const std::size_t n = std::min<std::size_t>(8, bytes.size() - off);
-    for (std::size_t i = 0; i < n; ++i) {
-      bytes[off + i] = static_cast<std::uint8_t>((word >> (8 * i)) & 0xff);
-    }
-  }
+  std::vector<std::uint8_t> bytes;
+  while (bytes.size() * 8 < bits) wire::append_le(bytes, rng());
   return BitVector::from_bytes(bytes.data(), bits);
 }
 
@@ -50,7 +45,7 @@ Authenticator::VerifierKey fleet_verifier_key(std::uint64_t seed) {
   material.reserve(sizeof kLabel - 1 + 8);
   material.insert(material.end(), reinterpret_cast<const std::uint8_t*>(kLabel),
                   reinterpret_cast<const std::uint8_t*>(kLabel) + sizeof kLabel - 1);
-  for (int i = 0; i < 8; ++i) material.push_back(static_cast<std::uint8_t>((seed >> (8 * i)) & 0xff));
+  wire::append_le(material, seed);
   return Sha256::hash(material);
 }
 

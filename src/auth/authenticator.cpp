@@ -1,26 +1,18 @@
 #include "auth/authenticator.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "auth/store_binary.hpp"
 #include "common/check.hpp"
 #include "common/statistics.hpp"
+#include "common/wire.hpp"
 #include "keygen/hmac.hpp"
 
 namespace aropuf {
 
 namespace {
-
-void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void append_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
 
 /// Constant-time tag comparison: no early exit on the first differing byte.
 bool tag_equal(const std::uint8_t* a, const std::uint8_t* b) {
@@ -78,9 +70,9 @@ std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
   const std::size_t helper_len = (helper_bits + 7) / 8;
   std::vector<std::uint8_t> message;
   message.reserve(16 + response_len + helper_len);
-  append_u64le(message, id);
-  append_u32le(message, response_bits);
-  append_u32le(message, helper_bits);
+  wire::append_le(message, id);
+  wire::append_le(message, response_bits);
+  wire::append_le(message, helper_bits);
   if (response_len > 0) message.insert(message.end(), response_bytes, response_bytes + response_len);
   if (helper_len > 0) message.insert(message.end(), helper_bytes, helper_bytes + helper_len);
   return hmac_sha256(key, message);
@@ -93,7 +85,7 @@ std::array<std::uint8_t, kRecordTagBytes> key_confirmation_tag(const Sha256::Dig
   message.reserve(sizeof kLabel - 1 + 8);
   message.insert(message.end(), reinterpret_cast<const std::uint8_t*>(kLabel),
                  reinterpret_cast<const std::uint8_t*>(kLabel) + sizeof kLabel - 1);
-  append_u64le(message, id);
+  wire::append_le(message, id);
   return hmac_sha256(device_key, message);
 }
 

@@ -1,12 +1,11 @@
 #include "auth/store_binary.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -28,50 +27,26 @@ constexpr char kMagic[4] = {'A', 'R', 'P', 'S'};
 // overflow even with adversarial headers.
 constexpr std::uint32_t kMaxBits = 1u << 20;
 
-std::uint16_t load_u16le(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-std::uint32_t load_u32le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t load_u64le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-void append_u16le(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
 [[noreturn]] void fail(AuthStoreErrc code, const std::string& what) {
   throw AuthStoreError(code, what);
+}
+
+[[noreturn]] void header_truncated(const char*, std::size_t, std::size_t, std::size_t) {
+  fail(AuthStoreErrc::kTruncated, "ARPS header truncated");
 }
 
 std::string encode_header(const AuthStoreParams& params, std::uint64_t device_count) {
   std::string out;
   out.reserve(kHeaderBytes);
   out.append(kMagic, sizeof kMagic);
-  append_u16le(out, kVersion);
-  append_u16le(out, 0);  // reserved
-  append_u64le(out, device_count);
-  append_u32le(out, params.response_bits);
-  append_u32le(out, params.helper_bits);
-  append_u32le(out, static_cast<std::uint32_t>(kRecordTagBytes));
-  append_u32le(out, params.model);
-  append_u64le(out, params.fleet_seed);
+  wire::append_le(out, kVersion);
+  wire::append_le(out, std::uint16_t{0});  // reserved
+  wire::append_le(out, device_count);
+  wire::append_le(out, params.response_bits);
+  wire::append_le(out, params.helper_bits);
+  wire::append_le(out, static_cast<std::uint32_t>(kRecordTagBytes));
+  wire::append_le(out, params.model);
+  wire::append_le(out, params.fleet_seed);
   return out;
 }
 
@@ -99,24 +74,25 @@ const char* to_string(AuthStoreErrc code) {
 }
 
 void BinaryEnrollmentStore::validate() {
-  if (size_ < kHeaderBytes) fail(AuthStoreErrc::kTruncated, "ARPS header truncated");
-  if (std::memcmp(data_, kMagic, sizeof kMagic) != 0) {
+  wire::ByteCursor cur({reinterpret_cast<const char*>(data_), size_}, &header_truncated);
+  cur.require(kHeaderBytes, "header");
+  if (std::memcmp(cur.bytes(sizeof kMagic, "magic").data(), kMagic, sizeof kMagic) != 0) {
     fail(AuthStoreErrc::kBadMagic, "not an ARPS enrollment store");
   }
-  const std::uint16_t version = load_u16le(data_ + 4);
+  const auto version = cur.read<std::uint16_t>("version");
   if (version != kVersion) {
     fail(AuthStoreErrc::kUnsupportedVersion,
          "unsupported ARPS version " + std::to_string(version));
   }
-  if (load_u16le(data_ + 6) != 0) {
+  if (cur.read<std::uint16_t>("reserved") != 0) {
     fail(AuthStoreErrc::kReservedNonzero, "reserved header field is non-zero");
   }
-  const std::uint64_t count = load_u64le(data_ + 8);
-  params_.response_bits = load_u32le(data_ + 16);
-  params_.helper_bits = load_u32le(data_ + 20);
-  const std::uint32_t tag_bytes = load_u32le(data_ + 24);
-  params_.model = load_u32le(data_ + 28);
-  params_.fleet_seed = load_u64le(data_ + 32);
+  const auto count = cur.read<std::uint64_t>("device count");
+  params_.response_bits = cur.read<std::uint32_t>("response bits");
+  params_.helper_bits = cur.read<std::uint32_t>("helper bits");
+  const auto tag_bytes = cur.read<std::uint32_t>("tag bytes");
+  params_.model = cur.read<std::uint32_t>("model");
+  params_.fleet_seed = cur.read<std::uint64_t>("fleet seed");
 
   if (tag_bytes != kRecordTagBytes) {
     fail(AuthStoreErrc::kBadHeader, "unexpected tag size " + std::to_string(tag_bytes));
@@ -132,21 +108,20 @@ void BinaryEnrollmentStore::validate() {
   helper_bytes_ = (params_.helper_bits + 7) / 8;
   record_stride_ = response_bytes_ + helper_bytes_ + kRecordTagBytes;
   const std::uint64_t per_device = 8 + static_cast<std::uint64_t>(record_stride_);
-  const std::uint64_t avail = size_ - kHeaderBytes;
   // Division first so the multiply below cannot overflow on a hostile count.
-  if (count > avail / per_device) {
+  if (count > cur.remaining() / per_device) {
     fail(AuthStoreErrc::kTruncated, "declared device count exceeds file size");
   }
-  if (count * per_device != avail) {
+  if (count * per_device != cur.remaining()) {
     fail(AuthStoreErrc::kSizeMismatch, "trailing bytes after the last record");
   }
   device_count_ = static_cast<std::size_t>(count);
-  index_ = data_ + kHeaderBytes;
+  index_ = data_ + cur.pos();
   records_ = index_ + 8 * device_count_;
 
   DeviceId prev = 0;
   for (std::size_t i = 0; i < device_count_; ++i) {
-    const DeviceId id = load_u64le(index_ + 8 * i);
+    const auto id = wire::load_le<std::uint64_t>(index_ + 8 * i);
     if (i > 0 && id <= prev) {
       fail(AuthStoreErrc::kUnsortedIndex, "device index is not strictly increasing");
     }
@@ -184,12 +159,7 @@ std::unique_ptr<BinaryEnrollmentStore> BinaryEnrollmentStore::open(const std::st
   store->map_ = map;
   store->data_ = static_cast<const std::uint8_t*>(map);
   store->size_ = size;
-  try {
-    store->validate();
-  } catch (...) {
-    // The destructor unmaps; rethrow the typed error.
-    throw;
-  }
+  store->validate();  // on a throw, the destructor unmaps
   return store;
 #else
   std::ifstream in(path, std::ios::binary);
@@ -211,7 +181,7 @@ std::optional<RecordView> BinaryEnrollmentStore::find(DeviceId id) const {
   std::size_t hi = device_count_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    const DeviceId probe = load_u64le(index_ + 8 * mid);
+    const auto probe = wire::load_le<std::uint64_t>(index_ + 8 * mid);
     if (probe == id) return record_at(mid);
     if (probe < id) {
       lo = mid + 1;
@@ -224,7 +194,7 @@ std::optional<RecordView> BinaryEnrollmentStore::find(DeviceId id) const {
 
 DeviceId BinaryEnrollmentStore::device_id_at(std::size_t i) const {
   ARO_REQUIRE(i < device_count_, "device index out of range");
-  return load_u64le(index_ + 8 * i);
+  return wire::load_le<std::uint64_t>(index_ + 8 * i);
 }
 
 RecordView BinaryEnrollmentStore::record_at(std::size_t i) const {
@@ -259,7 +229,7 @@ std::string encode_enrollment_store(const AuthStoreParams& params,
   }
   std::string out = encode_header(params, records.size());
   out.reserve(static_cast<std::size_t>(enrollment_store_bytes(params, records.size())));
-  for (const auto& [id, record] : records) append_u64le(out, id);
+  for (const auto& [id, record] : records) wire::append_le(out, id);
   for (const auto& [id, record] : records) {
     ARO_REQUIRE(record.response.size() == params.response_bits, "response length mismatch");
     ARO_REQUIRE(record.helper.size() == params.helper_bits, "helper-data length mismatch");
@@ -335,7 +305,7 @@ std::uint64_t merge_enrollment_stores(const std::vector<std::string>& shard_path
 
   for_each_merged([&](const BinaryEnrollmentStore& shard, std::size_t i) {
     std::string id_bytes;
-    append_u64le(id_bytes, shard.device_id_at(i));
+    wire::append_le(id_bytes, shard.device_id_at(i));
     out.write(id_bytes.data(), static_cast<std::streamsize>(id_bytes.size()));
   });
   const std::size_t response_bytes = (params.response_bits + 7) / 8;

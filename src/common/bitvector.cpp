@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/check.hpp"
+#include "common/wire.hpp"
 
 namespace aropuf {
 
@@ -13,23 +13,6 @@ constexpr std::size_t kWordBits = 64;
 
 constexpr std::size_t words_for(std::size_t bits) {
   return (bits + kWordBits - 1) / kWordBits;
-}
-
-// Loads up to eight packed LSB-first bytes as the little-endian word they
-// spell.  The full-width case is a single memcpy (plus a swap on big-endian
-// hosts); short tails fall back to a byte loop.
-std::uint64_t load_word_le(const std::uint8_t* p, std::size_t n) {
-  if (n == 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof w);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    w = __builtin_bswap64(w);
-#endif
-    return w;
-  }
-  std::uint64_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return w;
 }
 }  // namespace
 
@@ -51,7 +34,7 @@ BitVector BitVector::from_bytes(const std::uint8_t* data, std::size_t bits) {
   const std::size_t nbytes = (bits + 7) / 8;
   for (std::size_t w = 0; w < v.words_.size(); ++w) {
     const std::size_t off = w * 8;
-    v.words_[w] = load_word_le(data + off, std::min<std::size_t>(8, nbytes - off));
+    v.words_[w] = wire::load_le_prefix(data + off, std::min<std::size_t>(8, nbytes - off));
   }
   v.clear_padding();
   return v;
@@ -171,13 +154,9 @@ std::size_t popcount_bytes(const std::uint8_t* data, std::size_t size) {
   ARO_REQUIRE(data != nullptr || size == 0, "popcount_bytes with null data");
   std::size_t total = 0;
   std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, data + i, sizeof w);  // byte order is irrelevant to popcount
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  if (i < size) {
-    total += static_cast<std::size_t>(std::popcount(load_word_le(data + i, size - i)));
+  for (; i < size; i += 8) {
+    total += static_cast<std::size_t>(
+        std::popcount(wire::load_le_prefix(data + i, std::min<std::size_t>(8, size - i))));
   }
   return total;
 }
@@ -191,7 +170,7 @@ std::size_t hamming_distance_packed(const BitVector& a, const std::uint8_t* pack
   std::size_t total = 0;
   for (std::size_t w = 0; w < wa.size(); ++w) {
     const std::size_t off = w * 8;
-    std::uint64_t pw = load_word_le(packed + off, std::min<std::size_t>(8, nbytes - off));
+    std::uint64_t pw = wire::load_le_prefix(packed + off, std::min<std::size_t>(8, nbytes - off));
     if (w + 1 == wa.size()) {
       // BitVector keeps its padding bits zero; mask the packed side the same
       // way so stray bits in the final byte cannot inflate the distance.

@@ -82,15 +82,18 @@ Parser& Parser::opt_int(const std::string& name, int* out, const std::string& va
 }
 
 Parser& Parser::opt_uint64(const std::string& name, std::uint64_t* out,
-                           const std::string& value_name, const std::string& help) {
+                           const std::string& value_name, const std::string& help,
+                           std::uint64_t max_value) {
   Option o;
   o.name = name;
   o.value_name = value_name;
   o.help = help;
-  o.apply = [out](const std::string& value, std::string* error) {
+  o.apply = [out, max_value](const std::string& value, std::string* error) {
     unsigned long long v = 0;
-    if (!parse_uint64_value(value, &v)) {
-      *error = "expected an unsigned integer";
+    if (!parse_uint64_value(value, &v) || v > max_value) {
+      *error = max_value == UINT64_MAX
+                   ? std::string("expected an unsigned integer")
+                   : "expected an unsigned integer <= " + std::to_string(max_value);
       return false;
     }
     *out = static_cast<std::uint64_t>(v);

@@ -42,13 +42,14 @@ class Parser {
   // -- flag declarations ----------------------------------------------------
   // Each returns *this so declarations can chain.  `name` must include the
   // leading dashes ("--chips").  Numeric overloads reject values below
-  // `min_value` with a diagnostic naming the flag.
+  // `min_value` (above `max_value`) with a diagnostic naming the flag.
 
   Parser& flag(const std::string& name, bool* out, const std::string& help);
   Parser& opt_int(const std::string& name, int* out, const std::string& value_name,
                   const std::string& help, int min_value);
   Parser& opt_uint64(const std::string& name, std::uint64_t* out,
-                     const std::string& value_name, const std::string& help);
+                     const std::string& value_name, const std::string& help,
+                     std::uint64_t max_value = UINT64_MAX);
   Parser& opt_double(const std::string& name, double* out, const std::string& value_name,
                      const std::string& help, double min_value);
   Parser& opt_string(const std::string& name, std::string* out,

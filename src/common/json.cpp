@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -67,6 +68,15 @@ bool JsonValue::bool_or(const std::string& key, bool fallback) const {
 
 std::string JsonValue::string_or(const std::string& key, std::string fallback) const {
   return contains(key) ? at(key).as_string() : std::move(fallback);
+}
+
+std::optional<std::int64_t> JsonValue::integer_in(std::int64_t lo, std::int64_t hi) const {
+  const double d = is_number() ? std::get<double>(value_) : std::nan("");
+  // NaN fails both comparisons; the clamped bounds convert to double exactly.
+  const bool in_range = d >= static_cast<double>(std::max(lo, -kJsonMaxExactInteger)) &&
+                        d <= static_cast<double>(std::min(hi, kJsonMaxExactInteger));
+  if (!in_range || d != std::trunc(d)) return std::nullopt;
+  return static_cast<std::int64_t>(d);
 }
 
 namespace {

@@ -10,11 +10,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 namespace aropuf {
+
+/// Numbers are IEEE doubles: 2^53 - 1 is the largest integer every JSON number
+/// holds exactly, and the limit for integers that travel as JSON (seeds).
+inline constexpr std::int64_t kJsonMaxExactInteger = (std::int64_t{1} << 53) - 1;
 
 class JsonValue {
  public:
@@ -57,6 +62,11 @@ class JsonValue {
   [[nodiscard]] double number_or(const std::string& key, double fallback) const;
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
   [[nodiscard]] std::string string_or(const std::string& key, std::string fallback) const;
+
+  /// This value as an integer when it is an integral number within [lo, hi]
+  /// (clamped to ±kJsonMaxExactInteger, so the check and the conversion are
+  /// exact); nullopt otherwise.  Never a float-to-int overflow.
+  [[nodiscard]] std::optional<std::int64_t> integer_in(std::int64_t lo, std::int64_t hi) const;
 
   /// Serializes; `indent` > 0 pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;

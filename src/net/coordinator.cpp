@@ -212,15 +212,7 @@ struct Coordinator::Impl {
         if (conn.state == Connection::State::kAwaitingHello) {
           throw FrameError(FrameErrc::kBadPayload, "HEARTBEAT before HELLO");
         }
-        telemetry::Heartbeat beat;
-        try {
-          beat = telemetry::heartbeat_from_json(frame_payload_json(frame));
-        } catch (const FrameError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw FrameError(FrameErrc::kBadPayload,
-                           std::string("HEARTBEAT schema: ") + e.what());
-        }
+        const telemetry::Heartbeat beat = heartbeat_from_json(frame_payload_json(frame));
         conn.note_remote_ts(beat.ts_unix_ms);
         if (callbacks.on_heartbeat) callbacks.on_heartbeat(beat, conn.name);
         return true;

@@ -1,30 +1,21 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+
+#include "common/wire.hpp"
 
 namespace aropuf::net {
 
 namespace {
 
-/// Little-endian field writers/readers: the wire is LE regardless of host.
-void put_u16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint16_t get_u16(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint16_t>(u[0] | (u[1] << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(u[0]) | (static_cast<std::uint32_t>(u[1]) << 8) |
-         (static_cast<std::uint32_t>(u[2]) << 16) | (static_cast<std::uint32_t>(u[3]) << 24);
+/// The decoder reads the header only once all 12 bytes are buffered, so a
+/// cursor shortfall there is a bug in this file, not bad input.
+[[noreturn]] void header_shortfall(const char* what, std::size_t, std::size_t, std::size_t) {
+  throw std::logic_error(std::string("ARPF header read past the buffered bytes: ") + what);
 }
 
 bool valid_type(std::uint8_t byte) {
@@ -40,20 +31,42 @@ std::uint32_t payload_cap(FrameType type) {
   throw FrameError(FrameErrc::kBadPayload, what);
 }
 
-/// Required-field accessors: schema violations surface as FrameError so a
-/// receiver has exactly one exception type to map to a protocol error.
-double require_number(const JsonValue& doc, const char* key) {
-  if (!doc.contains(key) || !doc.at(key).is_number()) {
-    bad_payload(std::string("missing or non-numeric field '") + key + "'");
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// Field accessors for control payloads.  Every field a codec reads goes
+/// through one of these, so each schema violation -- a missing required key,
+/// a wrong JSON type, a non-integral or out-of-range number -- is kBadPayload:
+/// never an untyped throw, never a float-to-int cast of an unchecked double.
+/// A `fallback` stands in for an absent optional key.
+const JsonValue* field(const JsonValue& doc, const char* key, bool (JsonValue::*is)() const,
+                       bool optional = false) {
+  if (!doc.contains(key)) {
+    if (!optional) bad_payload(std::string("missing field '") + key + "'");
+    return nullptr;
   }
-  return doc.at(key).as_number();
+  if (!(doc.at(key).*is)()) bad_payload(std::string("wrong JSON type for field '") + key + "'");
+  return &doc.at(key);
 }
 
-std::string require_string(const JsonValue& doc, const char* key) {
-  if (!doc.contains(key) || !doc.at(key).is_string()) {
-    bad_payload(std::string("missing or non-string field '") + key + "'");
-  }
-  return doc.at(key).as_string();
+/// An integral JSON number within [lo, hi] (DESIGN.md §11.3).
+std::int64_t int_field(const JsonValue& doc, const char* key, std::int64_t lo, std::int64_t hi,
+                       std::optional<std::int64_t> fallback = std::nullopt) {
+  const JsonValue* value = field(doc, key, &JsonValue::is_number, fallback.has_value());
+  if (value == nullptr) return *fallback;
+  const std::optional<std::int64_t> n = value->integer_in(lo, hi);
+  if (!n) bad_payload(std::string("field '") + key + "' is not an integer in range");
+  return *n;
+}
+
+double number_field(const JsonValue& doc, const char* key, double fallback) {
+  const JsonValue* value = field(doc, key, &JsonValue::is_number, true);
+  return value != nullptr ? value->as_number() : fallback;
+}
+
+std::string string_field(const JsonValue& doc, const char* key,
+                         std::optional<std::string> fallback = std::nullopt) {
+  const JsonValue* value = field(doc, key, &JsonValue::is_string, fallback.has_value());
+  return value != nullptr ? value->as_string() : *fallback;
 }
 
 }  // namespace
@@ -92,10 +105,10 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
   out.append(kFrameMagic, sizeof kFrameMagic);
-  put_u16(&out, kProtocolVersion);
-  out.push_back(static_cast<char>(type));
-  out.push_back('\0');  // reserved
-  put_u32(&out, static_cast<std::uint32_t>(payload.size()));
+  wire::append_le(out, kProtocolVersion);
+  wire::append_le(out, static_cast<std::uint8_t>(type));
+  wire::append_le(out, std::uint8_t{0});  // reserved
+  wire::append_le(out, static_cast<std::uint32_t>(payload.size()));
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -105,33 +118,30 @@ void FrameDecoder::feed(const char* data, std::size_t size) {
 }
 
 bool FrameDecoder::next(Frame* frame) {
-  if (buffer_.size() < kFrameHeaderSize) {
-    // Validate whatever magic prefix exists so a poisoned stream fails on the
-    // first bytes, not after buffering a phantom "payload".
-    const std::size_t have = std::min(buffer_.size(), sizeof kFrameMagic);
-    if (std::memcmp(buffer_.data(), kFrameMagic, have) != 0) {
-      throw FrameError(FrameErrc::kBadMagic, "stream does not start with ARPF");
-    }
-    return false;
-  }
-  if (std::memcmp(buffer_.data(), kFrameMagic, sizeof kFrameMagic) != 0) {
+  // Validate whatever magic prefix exists so a poisoned stream fails on the
+  // first bytes, not after buffering a phantom "payload".
+  const std::size_t have = std::min(buffer_.size(), sizeof kFrameMagic);
+  if (std::memcmp(buffer_.data(), kFrameMagic, have) != 0) {
     throw FrameError(FrameErrc::kBadMagic, "stream does not start with ARPF");
   }
-  const std::uint16_t version = get_u16(buffer_.data() + 4);
+  if (buffer_.size() < kFrameHeaderSize) return false;
+  wire::ByteCursor cur(buffer_, &header_shortfall);
+  (void)cur.bytes(sizeof kFrameMagic, "magic");  // checked above
+  const auto version = cur.read<std::uint16_t>("protocol version");
   if (version != kProtocolVersion) {
     throw FrameError(FrameErrc::kUnsupportedVersion,
                      "protocol version " + std::to_string(version) + " (reader knows " +
                          std::to_string(kProtocolVersion) + ")");
   }
-  const auto type_byte = static_cast<std::uint8_t>(buffer_[6]);
+  const auto type_byte = cur.read<std::uint8_t>("message type");
   if (!valid_type(type_byte)) {
     throw FrameError(FrameErrc::kBadType, "type byte " + std::to_string(type_byte));
   }
-  if (buffer_[7] != '\0') {
+  if (cur.read<std::uint8_t>("reserved") != 0) {
     throw FrameError(FrameErrc::kReservedNonzero, "reserved byte must be zero");
   }
   const auto type = static_cast<FrameType>(type_byte);
-  const std::uint32_t length = get_u32(buffer_.data() + 8);
+  const auto length = cur.read<std::uint32_t>("payload length");
   if (length > payload_cap(type)) {
     throw FrameError(FrameErrc::kOversizedPayload,
                      std::string(frame_type_name(type)) + " declares " + std::to_string(length) +
@@ -174,10 +184,11 @@ JsonValue hello_to_json(const HelloMsg& msg) {
 
 HelloMsg hello_from_json(const JsonValue& doc) {
   HelloMsg msg;
-  msg.protocol = static_cast<std::uint16_t>(require_number(doc, "protocol"));
-  msg.worker = require_string(doc, "worker");
-  msg.threads = static_cast<int>(doc.number_or("threads", 0.0));
-  msg.ts_unix_ms = static_cast<std::int64_t>(doc.number_or("ts_unix_ms", 0.0));
+  msg.protocol = static_cast<std::uint16_t>(
+      int_field(doc, "protocol", 0, std::numeric_limits<std::uint16_t>::max()));
+  msg.worker = string_field(doc, "worker");
+  msg.threads = static_cast<int>(int_field(doc, "threads", 0, kIntMax, 0));
+  msg.ts_unix_ms = int_field(doc, "ts_unix_ms", 0, kJsonMaxExactInteger, 0);
   return msg;
 }
 
@@ -209,38 +220,32 @@ JsonValue job_to_json(const JobMsg& msg) {
 JobMsg job_from_json(const JsonValue& doc) {
   JobMsg msg;
   // A JOB without "kind" predates enrollment jobs and is a study job.
-  msg.kind = doc.string_or("kind", "study");
-  msg.shard = static_cast<int>(require_number(doc, "shard"));
-  msg.shards = static_cast<int>(require_number(doc, "shards"));
-  msg.seed = static_cast<std::uint64_t>(require_number(doc, "seed"));
-  msg.attempt = static_cast<int>(doc.number_or("attempt", 1.0));
-  msg.trace_id = doc.string_or("trace_id", "");
-  msg.parent_span = doc.string_or("parent_span", "");
-  if (msg.shards < 1 || msg.shard < 0 || msg.shard >= msg.shards) {
-    bad_payload("JOB fields out of range");
-  }
+  msg.kind = string_field(doc, "kind", "study");
+  msg.shard = static_cast<int>(int_field(doc, "shard", 0, kIntMax));
+  msg.shards = static_cast<int>(int_field(doc, "shards", 1, kIntMax));
+  // Seeds travel as JSON numbers: only those below 2^53 arrive unchanged.
+  msg.seed = static_cast<std::uint64_t>(int_field(doc, "seed", 0, kJsonMaxExactInteger));
+  msg.attempt = static_cast<int>(int_field(doc, "attempt", 1, kIntMax, 1));
+  msg.trace_id = string_field(doc, "trace_id", "");
+  msg.parent_span = string_field(doc, "parent_span", "");
+  if (msg.shard >= msg.shards) bad_payload("JOB fields out of range");
   if (msg.kind == "enroll") {
-    msg.devices = static_cast<std::uint64_t>(require_number(doc, "devices"));
-    msg.bits = static_cast<int>(require_number(doc, "bits"));
-    msg.model = require_string(doc, "model");
-    if (msg.devices < 1 || msg.bits < 1 || (msg.model != "synthetic" && msg.model != "sim")) {
-      bad_payload("JOB fields out of range");
-    }
+    msg.devices =
+        static_cast<std::uint64_t>(int_field(doc, "devices", 1, kJsonMaxExactInteger));
+    msg.bits = static_cast<int>(int_field(doc, "bits", 1, kIntMax));
+    msg.model = string_field(doc, "model");
+    if (msg.model != "synthetic" && msg.model != "sim") bad_payload("JOB fields out of range");
     return msg;
   }
   if (msg.kind != "study") bad_payload("unknown JOB kind '" + msg.kind + "'");
-  msg.chips = static_cast<int>(require_number(doc, "chips"));
-  if (!doc.contains("checkpoints") || !doc.at("checkpoints").is_array()) {
-    bad_payload("missing or non-array field 'checkpoints'");
-  }
-  for (const JsonValue& y : doc.at("checkpoints").as_array()) {
+  msg.chips = static_cast<int>(int_field(doc, "chips", 2, kIntMax));
+  for (const JsonValue& y : field(doc, "checkpoints", &JsonValue::is_array)->as_array()) {
     if (!y.is_number()) bad_payload("non-numeric checkpoint");
     msg.checkpoints.push_back(y.as_number());
   }
-  msg.run = require_string(doc, "run");
-  msg.format = require_string(doc, "format");
-  if (msg.chips < 2 || msg.checkpoints.empty() ||
-      (msg.format != "json" && msg.format != "binary")) {
+  msg.run = string_field(doc, "run");
+  msg.format = string_field(doc, "format");
+  if (msg.checkpoints.empty() || (msg.format != "json" && msg.format != "binary")) {
     bad_payload("JOB fields out of range");
   }
   return msg;
@@ -256,10 +261,33 @@ JsonValue error_to_json(const ErrorMsg& msg) {
 
 ErrorMsg error_from_json(const JsonValue& doc) {
   ErrorMsg msg;
-  msg.code = require_string(doc, "code");
-  msg.message = doc.string_or("message", "");
-  msg.shard = static_cast<int>(doc.number_or("shard", -1.0));
+  msg.code = string_field(doc, "code");
+  msg.message = string_field(doc, "message", "");
+  msg.shard = static_cast<int>(int_field(doc, "shard", -1, kIntMax, -1));
   return msg;
+}
+
+JsonValue heartbeat_to_json(const telemetry::Heartbeat& beat) {
+  JsonValue::Object obj;
+  obj["ts_unix_ms"] = JsonValue(static_cast<double>(beat.ts_unix_ms));
+  obj["shard"] = JsonValue(beat.shard);
+  obj["stage"] = JsonValue(beat.stage);
+  obj["done"] = JsonValue(static_cast<double>(beat.done));
+  obj["total"] = JsonValue(static_cast<double>(beat.total));
+  obj["elapsed_ms"] = JsonValue(beat.elapsed_ms);
+  return JsonValue(std::move(obj));
+}
+
+telemetry::Heartbeat heartbeat_from_json(const JsonValue& doc) {
+  telemetry::Heartbeat beat;
+  beat.ts_unix_ms = int_field(doc, "ts_unix_ms", 0, kJsonMaxExactInteger);
+  beat.shard = static_cast<int>(int_field(doc, "shard", 0, kIntMax));
+  beat.stage = string_field(doc, "stage");
+  beat.done = int_field(doc, "done", 0, kJsonMaxExactInteger);
+  beat.total = int_field(doc, "total", 0, kJsonMaxExactInteger);
+  beat.elapsed_ms = number_field(doc, "elapsed_ms", 0.0);
+  if (beat.done > beat.total) bad_payload("HEARTBEAT fields out of range");
+  return beat;
 }
 
 JsonValue metrics_to_json(const MetricsMsg& msg) {
@@ -276,26 +304,19 @@ JsonValue metrics_to_json(const MetricsMsg& msg) {
 
 MetricsMsg metrics_from_json(const JsonValue& doc) {
   MetricsMsg msg;
-  msg.ts_unix_ms = static_cast<std::int64_t>(require_number(doc, "ts_unix_ms"));
-  msg.seq = static_cast<std::int64_t>(doc.number_or("seq", 0.0));
-  msg.trace_epoch_unix_ms = doc.number_or("trace_epoch_unix_ms", 0.0);
-  msg.jobs_done = static_cast<int>(doc.number_or("jobs_done", 0.0));
-  msg.jobs_in_flight = static_cast<int>(doc.number_or("jobs_in_flight", 0.0));
-  if (!doc.contains("metrics") || !doc.at("metrics").is_object()) {
-    bad_payload("missing or non-object field 'metrics'");
-  }
-  msg.metrics = doc.at("metrics");
-  if (doc.contains("spans")) {
-    if (!doc.at("spans").is_array()) bad_payload("non-array field 'spans'");
-    for (const JsonValue& span : doc.at("spans").as_array()) {
+  msg.ts_unix_ms = int_field(doc, "ts_unix_ms", 1, kJsonMaxExactInteger);
+  msg.seq = int_field(doc, "seq", 0, kJsonMaxExactInteger, 0);
+  msg.trace_epoch_unix_ms = number_field(doc, "trace_epoch_unix_ms", 0.0);
+  msg.jobs_done = static_cast<int>(int_field(doc, "jobs_done", 0, kIntMax, 0));
+  msg.jobs_in_flight = static_cast<int>(int_field(doc, "jobs_in_flight", 0, kIntMax, 0));
+  msg.metrics = *field(doc, "metrics", &JsonValue::is_object);
+  if (const JsonValue* spans = field(doc, "spans", &JsonValue::is_array, true)) {
+    for (const JsonValue& span : spans->as_array()) {
       if (!span.is_object()) bad_payload("non-object span entry");
       msg.spans.push_back(span);
     }
   }
-  if (msg.ts_unix_ms <= 0 || msg.seq < 0 || msg.jobs_done < 0 || msg.jobs_in_flight < 0 ||
-      msg.trace_epoch_unix_ms < 0.0) {
-    bad_payload("METRICS fields out of range");
-  }
+  if (msg.trace_epoch_unix_ms < 0.0) bad_payload("METRICS fields out of range");
   return msg;
 }
 
@@ -309,6 +330,10 @@ std::string encode_job(const JobMsg& msg) {
 
 std::string encode_error(const ErrorMsg& msg) {
   return encode_frame(FrameType::kError, error_to_json(msg).dump());
+}
+
+std::string encode_heartbeat(const telemetry::Heartbeat& beat) {
+  return encode_frame(FrameType::kHeartbeat, heartbeat_to_json(beat).dump());
 }
 
 std::string encode_metrics(const MetricsMsg& msg) {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "telemetry/progress.hpp"
 
 /// TCP fleet transport: ARPF framing, socket primitives, and the
 /// coordinator/worker protocol loops (normative spec: DESIGN.md §11).
@@ -140,9 +141,12 @@ class FrameDecoder {
 
 // --- typed control messages -------------------------------------------------
 //
-// Thin JSON codecs for the control payloads.  Unknown keys are ignored on
-// decode (forward compatibility); missing required keys throw FrameError
-// (kBadPayload).  DESIGN.md §11 lists every field normatively.
+// Thin JSON codecs for the control payloads, all in frame.cpp.  Unknown keys
+// are ignored on decode (forward compatibility).  A missing required key, a
+// wrong JSON type, or an integer field that is non-integral or out of range
+// throws FrameError (kBadPayload); integers never exceed 2^53 - 1, the
+// largest a JSON number carries exactly.  DESIGN.md §11.3 lists every field
+// normatively.
 
 /// HELLO: the worker's opening message after connecting.
 struct HelloMsg {
@@ -164,12 +168,12 @@ struct JobMsg {
   std::string kind = "study";       ///< "study" or "enroll"
   int shard = 0;                    ///< shard index to run
   int shards = 1;                   ///< total shard count
-  std::uint64_t seed = 0;           ///< master RNG seed
+  std::uint64_t seed = 0;           ///< master RNG seed, < 2^53
   int chips = 0;                    ///< study: total chip population
   std::vector<double> checkpoints;  ///< study: aging years, non-decreasing
   std::string run;                  ///< study: run name echoed into the manifest
   std::string format;               ///< study: "binary" or "json" result transport
-  std::uint64_t devices = 0;        ///< enroll: total fleet size
+  std::uint64_t devices = 0;        ///< enroll: total fleet size, < 2^53
   int bits = 0;                     ///< enroll: response bits per device
   std::string model;                ///< enroll: "synthetic" or "sim"
   int attempt = 1;                  ///< 1-based dispatch attempt (telemetry)
@@ -217,6 +221,12 @@ struct MetricsMsg {
 /// (unknown kind, out-of-range shard index, a missing field of the kind, ...).
 [[nodiscard]] JobMsg job_from_json(const JsonValue& doc);
 
+/// Encodes a HEARTBEAT payload (telemetry::Heartbeat) as a JSON object.
+[[nodiscard]] JsonValue heartbeat_to_json(const telemetry::Heartbeat& beat);
+/// Decodes a HEARTBEAT payload; throws FrameError (kBadPayload) on schema
+/// violation (negative counters, done > total, ...).
+[[nodiscard]] telemetry::Heartbeat heartbeat_from_json(const JsonValue& doc);
+
 /// Encodes an ERROR payload as a JSON object.
 [[nodiscard]] JsonValue error_to_json(const ErrorMsg& msg);
 /// Decodes an ERROR payload; throws FrameError (kBadPayload) on schema violation.
@@ -232,6 +242,7 @@ struct MetricsMsg {
 /// Convenience encoders: typed message → framed bytes ready for the socket.
 [[nodiscard]] std::string encode_hello(const HelloMsg& msg);
 [[nodiscard]] std::string encode_job(const JobMsg& msg);
+[[nodiscard]] std::string encode_heartbeat(const telemetry::Heartbeat& beat);
 [[nodiscard]] std::string encode_error(const ErrorMsg& msg);
 [[nodiscard]] std::string encode_metrics(const MetricsMsg& msg);
 [[nodiscard]] std::string encode_bye();

@@ -41,8 +41,7 @@ void send_heartbeat(Socket& socket, int shard, const std::string& stage, std::in
                     std::int64_t total, std::int64_t start_ms) {
   const telemetry::Heartbeat beat = make_heartbeat(shard, stage, done, total, start_ms);
   try {
-    socket.send_all(
-        encode_frame(FrameType::kHeartbeat, telemetry::heartbeat_to_json(beat).dump()));
+    socket.send_all(encode_heartbeat(beat));
   } catch (const std::exception&) {
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -26,11 +27,17 @@ namespace {
   throw std::runtime_error(path + ": " + why);
 }
 
-std::int64_t int_field(const JsonValue& obj, const std::string& key, const std::string& path) {
-  if (!obj.contains(key) || !obj.at(key).is_number()) {
-    fail(path, "missing or non-numeric field '" + key + "'");
-  }
-  return static_cast<std::int64_t>(obj.at(key).as_number());
+/// An integral JSON number within [lo, hi], through the same checked read
+/// (JsonValue::integer_in) as the ARPF control fields.  A `fallback` stands
+/// in for an absent optional key.
+std::int64_t int_field(const JsonValue& obj, const std::string& key, const std::string& path,
+                       std::optional<std::int64_t> fallback = std::nullopt,
+                       std::int64_t lo = -kJsonMaxExactInteger,
+                       std::int64_t hi = kJsonMaxExactInteger) {
+  if (!obj.contains(key) && fallback) return *fallback;
+  const auto value = obj.contains(key) ? obj.at(key).integer_in(lo, hi) : std::nullopt;
+  if (!value) fail(path, "missing, non-integral or out-of-range field '" + key + "'");
+  return *value;
 }
 
 /// Validates the parts of a shard manifest the merger depends on.
@@ -49,8 +56,8 @@ ShardManifest validate_shard(JsonValue doc, const std::string& path) {
   const JsonValue& shard = doc.at("shard");
   ShardManifest out;
   out.path = path;
-  out.shard_index = static_cast<int>(int_field(shard, "index", path));
-  out.shard_count = static_cast<int>(int_field(shard, "count", path));
+  out.shard_index = static_cast<int>(int_field(shard, "index", path, {}, INT_MIN, INT_MAX));
+  out.shard_count = static_cast<int>(int_field(shard, "count", path, {}, INT_MIN, INT_MAX));
   out.chip_lo = int_field(shard, "chip_lo", path);
   out.chip_hi = int_field(shard, "chip_hi", path);
   if (out.shard_index < 0 || out.shard_count < 1 || out.shard_index >= out.shard_count) {
@@ -365,11 +372,11 @@ std::vector<SeriesChunk> extract_series_chunks(const ShardManifest& shard) {
     }
     SeriesChunk p;
     p.name = name;
-    p.offset = static_cast<std::int64_t>(series.number_or("offset", 0.0));
-    p.total = static_cast<std::int64_t>(series.number_or("total", 0.0));
+    p.offset = int_field(series, "offset", shard.path, 0);
+    p.total = int_field(series, "total", shard.path, 0);
     p.hist_lo = series.number_or("hist_lo", 0.0);
     p.hist_hi = series.number_or("hist_hi", 1.0);
-    p.hist_bins = static_cast<std::int64_t>(series.number_or("hist_bins", 50.0));
+    p.hist_bins = int_field(series, "hist_bins", shard.path, 50);
     const JsonValue::Array& values = series.at("values").as_array();
     p.values.reserve(values.size());
     for (const JsonValue& v : values) {
@@ -426,21 +433,23 @@ JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
       }
       TallyMerge& m = merges[name];
       const JsonValue::Array& bins = t.at("bins").as_array();
+      const std::int64_t offset = int_field(t, "offset", s.path, 0);
+      const std::int64_t count = int_field(t, "count", s.path, 0);
       if (m.first) {
         m.first = false;
-        m.total = static_cast<std::int64_t>(t.number_or("total", 0.0));
+        m.total = int_field(t, "total", s.path, 0);
         m.denom = t.number_or("denom", 1.0);
         m.hist_lo = t.number_or("hist_lo", 0.0);
         m.hist_hi = t.number_or("hist_hi", 1.0);
         m.hist_bins = bins.size();
         m.bins.assign(bins.size(), 0.0);
-      } else if (static_cast<std::int64_t>(t.number_or("total", 0.0)) != m.total ||
+      } else if (int_field(t, "total", s.path, 0) != m.total ||
                  t.number_or("denom", 1.0) != m.denom || bins.size() != m.hist_bins) {
         throw std::runtime_error(s.path + ": tally '" + name + "' disagrees on shape");
       }
       // An empty piece (a shard whose pair range is empty) carries no
       // min/max information; letting its zeros in would corrupt the merge.
-      if (t.number_or("count", 0.0) > 0.0) {
+      if (count > 0) {
         if (!m.have_minmax) {
           m.have_minmax = true;
           m.min = t.number_or("min", 0.0);
@@ -450,12 +459,10 @@ JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
           m.max = std::max(m.max, t.number_or("max", 0.0));
         }
       }
-      m.count += t.number_or("count", 0.0);
+      m.count += static_cast<double>(count);
       m.sum += t.number_or("sum", 0.0);
       m.sum_sq += t.number_or("sum_sq", 0.0);
-      m.ranges.emplace_back(static_cast<std::int64_t>(t.number_or("offset", 0.0)),
-                            static_cast<std::int64_t>(t.number_or("offset", 0.0)) +
-                                static_cast<std::int64_t>(t.number_or("count", 0.0)));
+      m.ranges.emplace_back(offset, offset + count);
       for (std::size_t b = 0; b < bins.size(); ++b) {
         if (bins[b].is_number()) m.bins[b] += bins[b].as_number();
       }

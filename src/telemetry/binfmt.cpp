@@ -1,5 +1,6 @@
 #include "telemetry/binfmt.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -10,102 +11,15 @@ namespace aropuf::telemetry {
 
 namespace {
 
-void append_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+/// The container's shortfall report: every read names what it was reading,
+/// so fuzz findings are self-describing.
+[[noreturn]] void truncated(const char* what, std::size_t need, std::size_t have,
+                            std::size_t offset) {
+  throw BinfmtError(BinfmtErrc::kTruncated,
+                    std::string("input ends inside ") + what + " (need " + std::to_string(need) +
+                        " bytes, have " + std::to_string(have) + " at offset " +
+                        std::to_string(offset) + ")");
 }
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void append_f64(std::string& out, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  append_u64(out, bits);
-}
-
-/// Bounds-checked little-endian cursor over untrusted bytes.  Every read
-/// validates the remaining length first; the throw carries what was being
-/// read so fuzz findings are self-describing.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  void require(std::size_t n, const char* what) const {
-    if (remaining() < n) {
-      throw BinfmtError(BinfmtErrc::kTruncated,
-                        std::string("input ends inside ") + what + " (need " +
-                            std::to_string(n) + " bytes, have " + std::to_string(remaining()) +
-                            " at offset " + std::to_string(pos_) + ")");
-    }
-  }
-
-  std::uint16_t u16(const char* what) {
-    require(2, what);
-    const auto* p = data();
-    pos_ += 2;
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-  }
-
-  std::uint32_t u32(const char* what) {
-    require(4, what);
-    const auto* p = data();
-    pos_ += 4;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64(const char* what) {
-    require(8, what);
-    const auto* p = data();
-    pos_ += 8;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-  }
-
-  double f64(const char* what) {
-    const std::uint64_t bits = u64(what);
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-  }
-
-  std::string_view bytes(std::size_t n, const char* what) {
-    require(n, what);
-    const std::string_view out = bytes_.substr(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
-  /// Consumes zero padding up to the next 8-byte file offset.
-  void align8() {
-    while (pos_ % 8 != 0) {
-      require(1, "alignment padding");
-      if (bytes_[pos_] != '\0') {
-        throw BinfmtError(BinfmtErrc::kBadSeriesHeader,
-                          "nonzero alignment padding at offset " + std::to_string(pos_));
-      }
-      ++pos_;
-    }
-  }
-
- private:
-  [[nodiscard]] const unsigned char* data() const {
-    return reinterpret_cast<const unsigned char*>(bytes_.data()) + pos_;
-  }
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 /// results.samples of a metadata document, or nullptr when absent.
 const JsonValue* metadata_samples(const JsonValue& metadata) {
@@ -205,22 +119,22 @@ std::string encode_shard_manifest(const JsonValue& metadata,
 
   std::string out;
   out.append(kBinfmtMagic, sizeof kBinfmtMagic);
-  append_u16(out, kBinfmtVersion);
-  append_u16(out, 0);  // reserved
-  append_u64(out, meta_json.size());
+  wire::append_le(out, kBinfmtVersion);
+  wire::append_le(out, std::uint16_t{0});  // reserved
+  wire::append_le(out, static_cast<std::uint64_t>(meta_json.size()));
   out += meta_json;
-  append_u32(out, static_cast<std::uint32_t>(series.size()));
+  wire::append_le(out, static_cast<std::uint32_t>(series.size()));
   for (const BinarySeries& s : series) {
-    append_u16(out, static_cast<std::uint16_t>(s.name.size()));
+    wire::append_le(out, static_cast<std::uint16_t>(s.name.size()));
     out += s.name;
-    append_u64(out, s.offset);
-    append_u64(out, s.total);
-    append_f64(out, s.hist_lo);
-    append_f64(out, s.hist_hi);
-    append_u32(out, s.hist_bins);
-    append_u64(out, s.values.size());
+    wire::append_le(out, s.offset);
+    wire::append_le(out, s.total);
+    wire::append_le(out, s.hist_lo);
+    wire::append_le(out, s.hist_hi);
+    wire::append_le(out, s.hist_bins);
+    wire::append_le(out, static_cast<std::uint64_t>(s.values.size()));
     while (out.size() % 8 != 0) out.push_back('\0');
-    for (const double v : s.values) append_f64(out, v);
+    for (const double v : s.values) wire::append_le(out, v);
   }
 
   // The encoder's output must always satisfy its own decoder (including the
@@ -233,24 +147,22 @@ std::string encode_shard_manifest(const JsonValue& metadata,
 BinaryManifestReader BinaryManifestReader::parse(std::string bytes) {
   BinaryManifestReader reader;
   reader.bytes_ = std::move(bytes);
-  Cursor cur(reader.bytes_);
+  wire::ByteCursor cur(reader.bytes_, &truncated);
 
-  const std::string_view magic = cur.bytes(sizeof kBinfmtMagic, "magic");
-  if (std::memcmp(magic.data(), kBinfmtMagic, sizeof kBinfmtMagic) != 0) {
+  if (!looks_binary(cur.bytes(sizeof kBinfmtMagic, "magic"))) {
     throw BinfmtError(BinfmtErrc::kBadMagic, "expected 'ARPB'");
   }
-  const std::uint16_t version = cur.u16("format version");
+  const auto version = cur.read<std::uint16_t>("format version");
   if (version != kBinfmtVersion) {
     throw BinfmtError(BinfmtErrc::kUnsupportedVersion,
                       "container is version " + std::to_string(version) +
                           ", this reader knows version " + std::to_string(kBinfmtVersion));
   }
-  if (cur.u16("reserved header bytes") != 0) {
+  if (cur.read<std::uint16_t>("reserved header bytes") != 0) {
     throw BinfmtError(BinfmtErrc::kReservedNonzero, "header bytes 6-7 must be zero");
   }
-  const std::uint64_t meta_len = cur.u64("metadata length");
-  cur.require(meta_len, "metadata document");
-  const std::string_view meta_json = cur.bytes(static_cast<std::size_t>(meta_len), "metadata");
+  const auto meta_len = cur.read<std::uint64_t>("metadata length");
+  const std::string_view meta_json = cur.bytes(meta_len, "metadata document");
   try {
     reader.metadata_ = JsonValue::parse(std::string(meta_json));
   } catch (const std::exception& e) {
@@ -260,11 +172,11 @@ BinaryManifestReader BinaryManifestReader::parse(std::string bytes) {
     throw BinfmtError(BinfmtErrc::kMetadataSchema, "metadata top level must be a JSON object");
   }
 
-  const std::uint32_t series_count = cur.u32("series count");
+  const auto series_count = cur.read<std::uint32_t>("series count");
   std::map<std::string_view, bool> seen;
   for (std::uint32_t i = 0; i < series_count; ++i) {
     SeriesView view;
-    const std::uint16_t name_len = cur.u16("series name length");
+    const auto name_len = cur.read<std::uint16_t>("series name length");
     if (name_len == 0 || name_len > kBinfmtMaxSeriesName) {
       throw BinfmtError(BinfmtErrc::kBadSeriesName,
                         "series name length " + std::to_string(name_len) + " out of range 1.." +
@@ -275,17 +187,20 @@ BinaryManifestReader BinaryManifestReader::parse(std::string bytes) {
       throw BinfmtError(BinfmtErrc::kBadSeriesName,
                         "duplicate series '" + std::string(view.name) + "'");
     }
-    view.offset = cur.u64("series offset");
-    view.total = cur.u64("series total");
-    view.hist_lo = cur.f64("series hist_lo");
-    view.hist_hi = cur.f64("series hist_hi");
-    view.hist_bins = cur.u32("series hist_bins");
+    view.offset = cur.read<std::uint64_t>("series offset");
+    view.total = cur.read<std::uint64_t>("series total");
+    view.hist_lo = cur.read<double>("series hist_lo");
+    view.hist_hi = cur.read<double>("series hist_hi");
+    view.hist_bins = cur.read<std::uint32_t>("series hist_bins");
     if (view.hist_bins == 0 || view.hist_bins > kBinfmtMaxHistBins) {
       throw BinfmtError(BinfmtErrc::kBadSeriesHeader,
                         "series '" + std::string(view.name) + "' hist_bins out of range");
     }
-    const std::uint64_t value_count = cur.u64("series value count");
-    cur.align8();
+    const auto value_count = cur.read<std::uint64_t>("series value count");
+    if (!cur.align8()) {
+      throw BinfmtError(BinfmtErrc::kBadSeriesHeader,
+                        "nonzero alignment padding at offset " + std::to_string(cur.pos()));
+    }
     // The count bounds the read AND the read bounds the count: a declared
     // count larger than the remaining bytes can never allocate or index.
     if (value_count > cur.remaining() / 8) {

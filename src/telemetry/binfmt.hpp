@@ -40,7 +40,7 @@
 // length is validated against the remaining buffer before use, counts never
 // drive allocations, and all failures throw BinfmtError with a typed code —
 // never UB.  Decoded series are zero-copy views into the container buffer;
-// value(i) reads through memcpy (a single load on little-endian targets).
+// value(i) reads through wire::load_le (a single load on little-endian hosts).
 //
 // Versioning: readers accept exactly the versions they know.  A bumped
 // version byte is kUnsupportedVersion, not a guess — fields may have been
@@ -51,13 +51,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/wire.hpp"
 
 namespace aropuf::telemetry {
 
@@ -116,18 +116,8 @@ struct SeriesView {
   const unsigned char* raw = nullptr;  ///< count packed little-endian doubles
   std::size_t count = 0;
 
-  /// Bit-exact value decode; compiles to a plain load on little-endian
-  /// targets (memcpy keeps it alignment- and aliasing-safe).
-  [[nodiscard]] double value(std::size_t i) const {
-    std::uint64_t bits;
-    std::memcpy(&bits, raw + i * 8, sizeof bits);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    bits = __builtin_bswap64(bits);
-#endif
-    double d;
-    std::memcpy(&d, &bits, sizeof d);
-    return d;
-  }
+  /// Bit-exact value decode (wire::load_le: one load on little-endian hosts).
+  [[nodiscard]] double value(std::size_t i) const { return wire::load_le<double>(raw + i * 8); }
 
   /// Copies all values out (one bulk pass; used to hand the fold an owned
   /// buffer for its out-of-order window).

@@ -1,10 +1,8 @@
 // Shard progress heartbeats and the run ETA.
 //
 // A worker reports progress as Heartbeat records; they travel to the
-// coordinator as ARPF HEARTBEAT frames (DESIGN.md §11.3), whose payload is
-// this JSON schema:
-//   {"ts_unix_ms": ..., "shard": k, "stage": "e2.aro", "done": u,
-//    "total": U, "elapsed_ms": ...}
+// coordinator as ARPF HEARTBEAT frames, whose JSON codec lives with the
+// other control messages in net/frame.hpp (schema: DESIGN.md §11.3).
 // `done`/`total` count abstract work units (the job defines them); `stage`
 // is a short dotted label.  The coordinator's HUD turns them into an ETA
 // with EtaEstimator.
@@ -12,8 +10,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "common/json.hpp"
 
 namespace aropuf::telemetry {
 
@@ -25,10 +21,6 @@ struct Heartbeat {
   std::int64_t total = 0;       ///< work units this shard owns in total
   double elapsed_ms = 0.0;      ///< worker-local elapsed wall time
 };
-
-[[nodiscard]] JsonValue heartbeat_to_json(const Heartbeat& beat);
-/// Throws std::invalid_argument / std::runtime_error on schema mismatch.
-[[nodiscard]] Heartbeat heartbeat_from_json(const JsonValue& line);
 
 /// Wall-clock ETA over abstract work units, robust to resumed runs.  Work
 /// that was already complete when tracking began (resumed/skipped shards) is

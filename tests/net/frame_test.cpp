@@ -265,6 +265,150 @@ TEST(FrameTest, EnrollJobRoundTripAndKindDefault) {
   EXPECT_EQ(old.chips, 8);
 }
 
+TEST(HeartbeatTest, JsonRoundTrip) {
+  telemetry::Heartbeat beat;
+  beat.ts_unix_ms = 1722945600123;
+  beat.shard = 3;
+  beat.stage = "e2.aro.y10";
+  beat.done = 7;
+  beat.total = 22;
+  beat.elapsed_ms = 451.25;
+  const telemetry::Heartbeat back = heartbeat_from_json(heartbeat_to_json(beat));
+  EXPECT_EQ(back.ts_unix_ms, beat.ts_unix_ms);
+  EXPECT_EQ(back.shard, beat.shard);
+  EXPECT_EQ(back.stage, beat.stage);
+  EXPECT_EQ(back.done, beat.done);
+  EXPECT_EQ(back.total, beat.total);
+  EXPECT_EQ(back.elapsed_ms, beat.elapsed_ms);
+}
+
+TEST(HeartbeatTest, RejectsOutOfRangeFields) {
+  telemetry::Heartbeat beat;
+  beat.stage = "x";
+  beat.done = 5;
+  beat.total = 3;  // done > total
+  EXPECT_THROW((void)heartbeat_from_json(heartbeat_to_json(beat)), std::exception);
+  beat.done = 1;
+  beat.total = 3;
+  beat.shard = -2;
+  EXPECT_THROW((void)heartbeat_from_json(heartbeat_to_json(beat)), std::exception);
+}
+
+TEST(HeartbeatTest, SchemaViolationsAreTypedFrameErrors) {
+  const auto reject = [](const std::string& json) {
+    try {
+      (void)heartbeat_from_json(JsonValue::parse(json));
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const FrameError& e) {
+      EXPECT_EQ(e.code(), FrameErrc::kBadPayload) << json;
+    }
+  };
+  reject(R"({"shard": 0, "stage": "s", "done": 0, "total": 1})");  // no ts_unix_ms
+  reject(R"({"ts_unix_ms": 1, "shard": 0, "done": 0, "total": 1})");  // no stage
+  reject(R"({"ts_unix_ms": 1, "shard": 0, "stage": 7, "done": 0, "total": 1})");
+  reject(R"({"ts_unix_ms": 1e300, "shard": 0, "stage": "s", "done": 0, "total": 1})");
+  reject(R"({"ts_unix_ms": 1, "shard": 1.5, "stage": "s", "done": 0, "total": 1})");
+  reject(R"({"ts_unix_ms": 1, "shard": 0, "stage": "s", "done": -1, "total": 1})");
+  reject(R"({"ts_unix_ms": 1, "shard": 0, "stage": "s", "done": 0, "total": 1e300})");
+  reject(R"({"ts_unix_ms": 1, "shard": 0, "stage": "s", "done": 0, "total": 1,)"
+         R"( "elapsed_ms": "soon"})");
+  const telemetry::Heartbeat beat = heartbeat_from_json(frame_payload_json(decode_one(
+      encode_heartbeat({1722945600123, 2, "e3", 4, 9, 12.5}))));
+  EXPECT_EQ(beat.shard, 2);
+  EXPECT_EQ(beat.done, 4);
+  EXPECT_EQ(beat.total, 9);
+}
+
+/// The decode must fail as FrameError(kBadPayload): the one exception type
+/// the coordinator maps to a protocol error.
+template <typename Decode>
+void expect_bad_payload(Decode decode, const std::string& json) {
+  try {
+    (void)decode(JsonValue::parse(json));
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.code(), FrameErrc::kBadPayload) << json;
+  }
+}
+
+TEST(FrameTest, IntegerFieldsMustBeIntegralAndInRange) {
+  // None of these may reach a static_cast of an unchecked JSON double: a
+  // HELLO protocol of 65537 or 1.9 would decode as 1 and pass the version
+  // check, and the out-of-range values would be float-to-int overflow (UB).
+  const auto hello = [](const JsonValue& doc) { return hello_from_json(doc); };
+  expect_bad_payload(hello, R"({"protocol": 65537, "worker": "w"})");
+  expect_bad_payload(hello, R"({"protocol": 1.9, "worker": "w"})");
+  expect_bad_payload(hello, R"({"protocol": -1, "worker": "w"})");
+  expect_bad_payload(hello, R"({"protocol": "1", "worker": "w"})");
+  expect_bad_payload(hello, R"({"protocol": 1, "worker": "w", "threads": 1e300})");
+  expect_bad_payload(hello, R"({"protocol": 1, "worker": "w", "threads": "8"})");
+  expect_bad_payload(hello, R"({"protocol": 1, "worker": "w", "ts_unix_ms": 1e300})");
+  expect_bad_payload(hello, R"({"protocol": 1, "worker": 5})");
+
+  const auto job = [](const JsonValue& doc) { return job_from_json(doc); };
+  const std::string study = R"("kind": "study", "chips": 8, "checkpoints": [1],)"
+                            R"( "run": "r", "format": "json")";
+  const auto study_job = [&](const std::string& fields) {
+    return "{" + study + ", " + fields + "}";
+  };
+  expect_bad_payload(job, study_job(R"("shard": 1e300, "shards": 2, "seed": 1)"));
+  expect_bad_payload(job, study_job(R"("shard": 0.5, "shards": 2, "seed": 1)"));
+  expect_bad_payload(job, study_job(R"("shard": 0, "shards": 1e300, "seed": 1)"));
+  expect_bad_payload(job, study_job(R"("shard": 0, "shards": 2, "seed": -5)"));
+  expect_bad_payload(job, study_job(R"("shard": 0, "shards": 2, "seed": 1e300)"));
+  expect_bad_payload(job, study_job(R"("shard": 0, "shards": 2, "seed": 1, "attempt": 1e300)"));
+  expect_bad_payload(job, study_job(R"("shard": 0, "shards": 2, "seed": 1, "trace_id": 7)"));
+  expect_bad_payload(job, R"({"shard": 0, "shards": 2, "seed": 1, "chips": -1e30,)"
+                          R"( "checkpoints": [1], "run": "r", "format": "json"})");
+  expect_bad_payload(job, R"({"kind": 5, "shard": 0, "shards": 2, "seed": 1})");
+  const std::string enroll = R"({"kind": "enroll", "shard": 0, "shards": 1, "seed": 1,)"
+                             R"( "bits": 64, "model": "synthetic", "devices": )";
+  expect_bad_payload(job, enroll + "-1e30}");
+  expect_bad_payload(job, enroll + "10.5}");
+  expect_bad_payload(job, R"({"kind": "enroll", "shard": 0, "shards": 1, "seed": 1,)"
+                          R"( "bits": 1e300, "model": "synthetic", "devices": 10})");
+
+  const auto error = [](const JsonValue& doc) { return error_from_json(doc); };
+  expect_bad_payload(error, R"({"code": "job-failed", "shard": 1e300})");
+  expect_bad_payload(error, R"({"code": "job-failed", "shard": -2})");
+  expect_bad_payload(error, R"({"code": "job-failed", "message": 3})");
+
+  const auto metrics = [](const JsonValue& doc) { return metrics_from_json(doc); };
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1e300, "metrics": {}})");
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1.5, "metrics": {}})");
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1, "metrics": {}, "seq": 1e300})");
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1, "metrics": {}, "jobs_done": 1e300})");
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1, "metrics": {}, "jobs_in_flight": 0.5})");
+  expect_bad_payload(metrics, R"({"ts_unix_ms": 1, "metrics": {}, "trace_epoch_unix_ms": "x"})");
+}
+
+TEST(FrameTest, SeedsAndFleetSizesStopBelowTwoToThe53) {
+  // A JOB's seed and an enroll JOB's device count travel as JSON numbers
+  // (IEEE doubles): 2^53 + 1 would arrive as 2^53, so 2^53 and above are
+  // rejected instead of silently changed.
+  const auto job = [](const JsonValue& doc) { return job_from_json(doc); };
+  const std::string head = R"({"shard": 0, "shards": 1, "chips": 8, "checkpoints": [1],)"
+                           R"( "run": "r", "format": "json", "seed": )";
+  expect_bad_payload(job, head + "9007199254740992}");
+  expect_bad_payload(job, head + "9007199254740993}");
+  expect_bad_payload(job, R"({"kind": "enroll", "shard": 0, "shards": 1, "seed": 1,)"
+                          R"( "bits": 64, "model": "sim", "devices": 9007199254740992})");
+
+  JobMsg msg;
+  msg.chips = 8;
+  msg.checkpoints = {1.0};
+  msg.run = "r";
+  msg.format = "json";
+  msg.seed = 9007199254740991ULL;  // 2^53 - 1: the largest seed the wire carries
+  EXPECT_EQ(job_from_json(frame_payload_json(decode_one(encode_job(msg)))).seed,
+            9007199254740991ULL);
+  msg.kind = "enroll";
+  msg.bits = 64;
+  msg.model = "sim";
+  msg.devices = 9007199254740991ULL;
+  EXPECT_EQ(job_from_json(job_to_json(msg)).devices, 9007199254740991ULL);
+}
+
 TEST(FrameTest, ErrorRoundTripWithDefaults) {
   ErrorMsg msg;
   msg.code = "job-failed";

@@ -355,6 +355,45 @@ TEST(AggregateTest, StructuralErrorsThrow) {
   EXPECT_THROW(aggregate_shards({}), std::runtime_error);
 }
 
+TEST(AggregateTest, OutOfRangeShardFieldsAreRejectedNotCast) {
+  // A shard index of 1e300 must be a validation failure, never a float-to-int
+  // cast of an unchecked double (undefined behaviour).
+  const auto reject = [](const char* key, double value) {
+    JsonValue doc = make_shard_doc(0, 2, 0, 4);
+    doc.as_object().at("shard").as_object()[key] = JsonValue(value);
+    EXPECT_THROW(wrap_shard_manifest(std::move(doc)), std::runtime_error) << key << value;
+  };
+  reject("index", 1e300);
+  reject("index", -1e300);
+  reject("index", 0.5);
+  reject("count", 1e300);
+  reject("chip_lo", 1e300);
+  reject("chip_hi", -1e30);
+  JsonValue doc = make_shard_doc(0, 2, 0, 4);
+  doc.as_object()["schema_version"] = JsonValue(1e300);
+  EXPECT_THROW(wrap_shard_manifest(std::move(doc)), std::runtime_error);
+
+  // The same holds for the integer fields of sample series and tallies,
+  // which the merge reads only once all shards are in.
+  const auto reject_result = [](const char* section, const char* key, double value) {
+    JsonValue doc = make_shard_doc(0, 1, 0, 4);
+    add_sample_series(doc, "s", 0, 1, {0.5});
+    add_tally(doc, "t", 0, 1, {1}, 4);
+    doc.as_object()["results"].as_object()[section].as_object().begin()->second.as_object()[key] =
+        JsonValue(value);
+    std::vector<ShardManifest> shards;
+    shards.push_back(wrap_shard_manifest(std::move(doc)));
+    EXPECT_THROW((void)aggregate_shards(std::move(shards)), std::runtime_error)
+        << section << "." << key << " = " << value;
+  };
+  reject_result("samples", "offset", 1e300);
+  reject_result("samples", "total", -1e300);
+  reject_result("samples", "hist_bins", 0.5);
+  reject_result("tallies", "offset", -1e300);
+  reject_result("tallies", "total", 1e300);
+  reject_result("tallies", "count", 1e300);
+}
+
 TEST(AggregateTest, MalformedManifestFilesAreRejectedWithPathContext) {
   const std::string missing = temp_path("missing.json");
   EXPECT_THROW(load_shard_manifest(missing), std::runtime_error);

@@ -371,7 +371,8 @@ int main(int argc, char** argv) {
       .opt_int("--jobs", &opt.jobs, "J", "concurrent shard-build workers", 1)
       .opt_uint64("--bits", &opt.bits, "B", "response bits per device")
       .opt_string("--model", &opt.model, "NAME", "response model: synthetic|sim")
-      .opt_uint64("--seed", &opt.seed, "S", "fleet master seed")
+      .opt_uint64("--seed", &opt.seed, "S", "fleet master seed, below 2^53",
+                  kJsonMaxExactInteger)
       .opt_string("--out", &opt.out_dir, "DIR", "output directory for --build")
       .flag("--no-fork", &opt.no_fork, "build shards in-process (no child workers)")
       .flag("--keep-shards", &opt.keep_shards, "keep per-shard stores after the merge")

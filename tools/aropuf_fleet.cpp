@@ -134,7 +134,8 @@ int parse_args(int argc, char** argv, Options* opt) {
                      "sharded E2+E3 population study: local worker processes or a TCP fleet");
   parser
       .opt_int("--chips", &opt->chips, "N", "total chip population (default 40)", 2)
-      .opt_uint64("--seed", &opt->seed, "S", "master RNG seed (default 2014)")
+      .opt_uint64("--seed", &opt->seed, "S", "master RNG seed, below 2^53 (default 2014)",
+                  kJsonMaxExactInteger)
       .opt_custom("--checkpoints", "CSV", "aging years, non-decreasing (default 1,2,5,10)",
                   [opt](const std::string& v) { return parse_checkpoints(v, &opt->checkpoints); })
       .opt_string("--run", &opt->run, "NAME", "run name in manifests (default fleet_study)")
